@@ -2,14 +2,22 @@
 # CI runs; see ROADMAP.md.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build vet kregret-vet test test-race test-debug test-fault test-serve test-chaos test-crash fuzz-smoke bench bench-diff bench-smoke bench-shard check
+.PHONY: build vet fmt-check kregret-vet test test-race test-debug test-fault test-serve test-chaos test-crash fuzz-smoke bench bench-diff bench-smoke bench-shard test-perfbench check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate over the tracked Go files. The analyzer fixtures
+# under internal/analysis/testdata/ are exempt: they pin line-exact
+# diagnostics, so reformatting them would move the expected findings.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '^internal/analysis/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Domain-aware static analysis: floatcmp, slicealias, naninf, errdrop,
 # ctxflow, poolscope, atomicguard, wireguard, sleepctx.
@@ -120,4 +128,11 @@ bench-shard:
 		-out /tmp/kregret_bench_shard.json
 	$(GO) test -count=1 -run 'Sharded|MergeShardCores|CoresetDifferential' .
 
-check: build vet kregret-vet test-race test-debug test-fault test-serve test-chaos test-crash bench-smoke bench-shard
+# The benchmark module (perfbench/, see BENCHMARK.json) builds against
+# this repository through a replace directive but is a module of its
+# own, so `go test ./...` at the root never reaches it. This target
+# fails when a change here breaks the benchmark's build or its tests.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet fmt-check kregret-vet test-race test-debug test-fault test-serve test-chaos test-crash bench-smoke bench-shard test-perfbench

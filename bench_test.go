@@ -324,22 +324,6 @@ func BenchmarkHeadline(b *testing.B) {
 
 // --- micro-benchmarks of the substrates -------------------------------
 
-func BenchmarkSkylineAlgorithms(b *testing.B) {
-	pts, err := dataset.AntiCorrelated(20000, 5, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, algo := range []skyline.Algorithm{skyline.BNL, skyline.SFS, skyline.DC} {
-		b.Run(algo.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := skyline.Compute(pts, algo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkHappyFilter(b *testing.B) {
 	pts, err := dataset.AntiCorrelated(20000, 5, 7)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 //     and to compat wrappers: a function may delegate a background
 //     context only into its own context-taking counterpart (same
 //     package, same receiver, name + "Context"/"Ctx"/"ParCtx") — the
-//     Query → QueryContext / GeoGreedy → GeoGreedyCtx idiom.
+//     Query → QueryContext / GeoGreedy → GeoGreedyParCtx idiom.
 //   - A function that already receives a context must use it; a
 //     background context inside it is always a finding.
 //   - An exported function that spawns goroutines must accept a

@@ -52,7 +52,7 @@ func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
 				best = i
 			}
 		}
-		mrr, err := MRRGeometricCtx(ctx, pts, []int{best})
+		mrr, err := MRRGeometricParCtx(ctx, pts, []int{best}, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
 		if len(sel) > k {
 			sel = sel[:k]
 		}
-		mrr, err := MRRGeometricCtx(ctx, pts, sel)
+		mrr, err := MRRGeometricParCtx(ctx, pts, sel, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func CubeCtx(ctx context.Context, pts []geom.Vector, k int) (*Result, error) {
 	if len(sel) > k {
 		sel = sel[:k]
 	}
-	mrr, err := MRRGeometricCtx(ctx, pts, sel)
+	mrr, err := MRRGeometricParCtx(ctx, pts, sel, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,8 @@ import (
 // byte-identically on every distribution, dimension and worker count.
 //
 // The zero extreme set (SetExtreme never called) means full scans;
-// that is the WithPruning(false) path and the reference side of the
-// differential tests.
+// that is the path of the free evaluator functions (MRRGeometric and
+// friends) and the reference side of the differential tests.
 type EvalIndex struct {
 	pts  []geom.Vector
 	m    *mat.PointMatrix

@@ -32,24 +32,19 @@ func checkSelection(pts []geom.Vector, sel []int) error {
 // hull of S. This is the reference evaluation used by all experiment
 // harnesses.
 func MRRGeometric(pts []geom.Vector, sel []int) (float64, error) {
-	return MRRGeometricCtx(context.Background(), pts, sel)
+	return MRRGeometricParCtx(context.Background(), pts, sel, 1)
 }
 
-// MRRGeometricCtx is MRRGeometric with cooperative cancellation: the
-// context is checked inside every dual-hull insertion and once per
-// support-scan batch. The returned error wraps ctx.Err() when
-// canceled.
-func MRRGeometricCtx(ctx context.Context, pts []geom.Vector, sel []int) (float64, error) {
-	return MRRGeometricParCtx(ctx, pts, sel, 1)
-}
-
-// MRRGeometricParCtx is MRRGeometricCtx with intra-query parallelism:
-// the per-point support scan over the selection's dual hull fans out
-// over up to `workers` goroutines (0 = the process default, 1 = the
-// exact sequential path). The hull is read-only during the scan and
-// the max reduction is order-independent, so the result is identical
-// for every worker count; a NaN support poisons the reduction and
-// surfaces as ErrDegenerate instead of being silently dropped.
+// MRRGeometricParCtx is MRRGeometric with cooperative cancellation and
+// intra-query parallelism. The context is checked inside every
+// dual-hull insertion and once per support-scan batch; the returned
+// error wraps ctx.Err() when canceled. The per-point support scan over
+// the selection's dual hull fans out over up to `workers` goroutines
+// (0 = the process default, 1 = the exact sequential path). The hull
+// is read-only during the scan and the max reduction is
+// order-independent, so the result is identical for every worker
+// count; a NaN support poisons the reduction and surfaces as
+// ErrDegenerate instead of being silently dropped.
 //
 // The free function builds a transient unpruned EvalIndex per call;
 // callers evaluating the same dataset repeatedly should hold an
@@ -195,20 +190,15 @@ func randomUtilityInto(rng *rand.Rand, w geom.Vector) {
 // that attains the regret. When the regret is zero it returns a nil
 // vector and witness −1.
 func WorstUtility(pts []geom.Vector, sel []int) (geom.Vector, int, error) {
-	return WorstUtilityCtx(context.Background(), pts, sel)
+	return WorstUtilityParCtx(context.Background(), pts, sel, 1)
 }
 
-// WorstUtilityCtx is WorstUtility with cooperative cancellation (see
-// MRRGeometricCtx for the check granularity).
-func WorstUtilityCtx(ctx context.Context, pts []geom.Vector, sel []int) (geom.Vector, int, error) {
-	return WorstUtilityParCtx(ctx, pts, sel, 1)
-}
-
-// WorstUtilityParCtx is WorstUtilityCtx with intra-query parallelism,
-// mirroring the other ParCtx signatures: the per-point support scan
-// fans out over up to `workers` goroutines (0 = the process default,
-// 1 = the exact sequential path) and the witness fold runs
-// sequentially in index order, so the answer is byte-identical at
+// WorstUtilityParCtx is WorstUtility with cooperative cancellation
+// (see MRRGeometricParCtx for the check granularity) and intra-query
+// parallelism, mirroring the other ParCtx signatures: the per-point
+// support scan fans out over up to `workers` goroutines (0 = the
+// process default, 1 = the exact sequential path) and the witness fold
+// runs sequentially in index order, so the answer is byte-identical at
 // every worker count.
 func WorstUtilityParCtx(ctx context.Context, pts []geom.Vector, sel []int, workers int) (geom.Vector, int, error) {
 	x, err := NewEvalIndex(pts)
@@ -216,10 +206,4 @@ func WorstUtilityParCtx(ctx context.Context, pts []geom.Vector, sel []int, worke
 		return nil, -1, err
 	}
 	return x.WorstUtilityParCtx(ctx, sel, workers)
-}
-
-// SupportByLPForTest exposes the Greedy candidate LP to tests in
-// other packages (cross-checking GeoGreedy's dual support values).
-func SupportByLPForTest(ctx context.Context, pts []geom.Vector, sel []int, q geom.Vector) (float64, error) {
-	return supportByLP(ctx, pts, sel, q)
 }

@@ -215,9 +215,9 @@ func TestCompositionCount(t *testing.T) {
 	cases := []struct{ r, d, want int }{
 		{1, 1, 1},
 		{5, 1, 1},
-		{3, 2, 4},    // C(4,1)
-		{2, 3, 6},    // C(4,2)
-		{4, 4, 35},   // C(7,3)
+		{3, 2, 4},     // C(4,1)
+		{2, 3, 6},     // C(4,2)
+		{4, 4, 35},    // C(7,3)
 		{511, 2, 512}, // C(512,1)
 	}
 	for _, c := range cases {
@@ -226,7 +226,7 @@ func TestCompositionCount(t *testing.T) {
 		}
 	}
 	// Overflowing resolutions saturate instead of wrapping.
-	if got := compositionCount(1 << 30, 8); got < 1<<39 {
+	if got := compositionCount(1<<30, 8); got < 1<<39 {
 		t.Fatalf("overflow did not saturate: %d", got)
 	}
 }

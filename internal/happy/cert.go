@@ -42,18 +42,13 @@ func (c *Cert) HappyPoints() []int {
 // stay small to balance.
 const certGrain = 8
 
-// ComputeAmongSkylineCert computes the witness certificate for the
-// candidates sky against adversaries sky, via the blocked kernel when
-// the set is large enough to amortize the sweep build and the scalar
-// scan otherwise. The caller is responsible for sky being the true
-// skyline of pts (ascending) and pts being validated.
-func ComputeAmongSkylineCert(pts []geom.Vector, sky []int) *Cert {
-	return ComputeAmongSkylineCertParallel(pts, sky, 1)
-}
-
-// ComputeAmongSkylineCertParallel is ComputeAmongSkylineCert with the
-// candidate loop fanned out over `workers` goroutines (0 means the
-// process default). The certificate is identical for every width:
+// ComputeAmongSkylineCertParallel computes the witness certificate
+// for the candidates sky against adversaries sky, via the blocked
+// kernel when the set is large enough to amortize the sweep build and
+// the scalar scan otherwise, with the candidate loop fanned out over
+// `workers` goroutines (0 means the process default). The caller is
+// responsible for sky being the true skyline of pts (ascending) and
+// pts being validated. The certificate is identical for every width:
 // both paths share one sweep, and each candidate's witness depends
 // only on that read-only sweep.
 func ComputeAmongSkylineCertParallel(pts []geom.Vector, sky []int, workers int) *Cert {

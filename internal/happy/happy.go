@@ -62,6 +62,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/skyline"
 )
 
 // Tolerance for the on/below classifications.
@@ -262,7 +263,10 @@ func Compute(pts []geom.Vector) ([]int, error) {
 			return nil, err
 		}
 	}
-	sky := skylineFilter(pts)
+	sky, err := skyline.Of(pts)
+	if err != nil {
+		return nil, err
+	}
 	return ComputeAmongSkyline(pts, sky), nil
 }
 
@@ -274,7 +278,7 @@ func Compute(pts []geom.Vector) ([]int, error) {
 // — the returned set is identical either way (pinned by the
 // differential suite in kernel_test.go).
 func ComputeAmongSkyline(pts []geom.Vector, sky []int) []int {
-	return ComputeAmongSkylineCert(pts, sky).HappyPoints()
+	return ComputeAmongSkylineCertParallel(pts, sky, 1).HappyPoints()
 }
 
 // computeAmong returns the members of candidates subjugated by no
@@ -299,44 +303,4 @@ func computeAmong(pts []geom.Vector, candidates, adversaries []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// skylineFilter returns the skyline indices with a sort-filter pass
-// (duplicated minimally from package skyline to keep the dependency
-// graph flat; the full operators live in internal/skyline).
-func skylineFilter(pts []geom.Vector) []int {
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sums := make([]float64, len(pts))
-	for i, p := range pts {
-		sums[i] = p.Sum()
-	}
-	sort.Slice(order, func(a, b int) bool {
-		// Exact ordered comparisons keep the order transitive.
-		sa, sb := sums[order[a]], sums[order[b]]
-		if sa > sb {
-			return true
-		}
-		if sa < sb {
-			return false
-		}
-		return order[a] < order[b]
-	})
-	var sky []int
-	for _, i := range order {
-		dominated := false
-		for _, si := range sky {
-			if geom.Dominates(pts[si], pts[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, i)
-		}
-	}
-	sort.Ints(sky)
-	return sky
 }

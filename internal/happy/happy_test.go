@@ -12,6 +12,16 @@ import (
 	"repro/internal/skyline"
 )
 
+// skylineOf is skyline.Of for test inputs known to be valid.
+func skylineOf(t *testing.T, pts []geom.Vector) []int {
+	t.Helper()
+	sky, err := skyline.Of(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sky
+}
+
 // planesViaDualHull is an independent oracle for EnumeratePlanes: the
 // non-origin facets of Conv({p} ∪ VC) are the vertices of the cube
 // cap Q(p) = [0,1]^d ∩ {ω·p ≤ 1} that are tight on the p-constraint,

@@ -1,7 +1,7 @@
 // The blocked skyline kernel: a sort-filter-skyline pass over packed
-// rows with a two-tier dominance window. This is the default
-// algorithm behind Of and ComputeParallel; BNL/SFS/DC remain as the
-// scalar references the differential suite pins it against.
+// rows with a two-tier dominance window. This is the algorithm behind
+// Of, OfSubset and ComputeParallel; the tests pin it against the
+// O(n²) definition.
 //
 // Structure, in arrival order of the descending-coordinate-sum radix
 // sort (mat.SortIdxByFloatDesc — O(n), it replaces the comparison
@@ -56,7 +56,8 @@ const (
 	// kernelRebuild0: window size triggering the first rebuild;
 	// subsequent triggers grow by 5/4.
 	kernelRebuild0 = 128
-	// kernelMinN: below this, plain SFS beats the kernel's setup.
+	// kernelMinN: minimum points per parallel stripe; a smaller stripe
+	// costs more in setup and union work than it saves.
 	kernelMinN = 512
 )
 

@@ -2,22 +2,10 @@ package skyline
 
 import (
 	"context"
-	"sort"
-	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/mat"
 	"repro/internal/parallel"
 )
-
-// mergeParGrain is the minimum chunk of candidates per fan-out unit
-// in the cross-filter merge; each candidate costs a dominance scan
-// over the opposite half's skyline.
-const mergeParGrain = 64
-
-// mergeParThreshold is the candidate count below which the
-// cross-filter stays sequential.
-const mergeParThreshold = 2048
 
 // ComputeParallel computes the skyline with the blocked kernel,
 // striping the points across `workers` goroutines (0 means the
@@ -38,94 +26,4 @@ func ComputeParallelCtx(ctx context.Context, pts []geom.Vector, workers int) ([]
 		return nil, err
 	}
 	return computeParallelKernel(ctx, pts, parallel.Resolve(workers))
-}
-
-// dcParallel mirrors dcRec, spawning goroutines for the first
-// `depth` split levels. The two halves share the worker budget; the
-// merge at each level runs after both halves return and may use the
-// full budget of its subtree.
-func dcParallel(ctx context.Context, pts []geom.Vector, idx []int, depth, workers int) []int {
-	if depth <= 0 || len(idx) <= 2048 {
-		return dcRec(pts, idx)
-	}
-	sorted := append([]int(nil), idx...)
-	sort.Slice(sorted, func(a, b int) bool {
-		// Exact ordered comparisons keep the order transitive.
-		pa, pb := pts[sorted[a]][0], pts[sorted[b]][0]
-		if pa < pb {
-			return true
-		}
-		if pa > pb {
-			return false
-		}
-		return sorted[a] < sorted[b]
-	})
-	mid := len(sorted) / 2
-	low, high := sorted[:mid], sorted[mid:]
-	half := (workers + 1) / 2
-	var skyLow, skyHigh []int
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		skyLow = dcParallel(ctx, pts, low, depth-1, half)
-	}()
-	skyHigh = dcParallel(ctx, pts, high, depth-1, half)
-	wg.Wait()
-	// Same two-way cross-filter as the sequential merge (see dcRec
-	// for why high-vs-low is required under first-dimension ties),
-	// with each direction's dominance scans fanned out: survivors are
-	// flagged per slot and collected in the sequential order.
-	merged := make([]int, 0, len(skyLow)+len(skyHigh))
-	merged = appendUndominated(ctx, pts, merged, skyHigh, skyLow, workers)
-	merged = appendUndominated(ctx, pts, merged, skyLow, skyHigh, workers)
-	return merged
-}
-
-// appendUndominated appends to dst the members of cand not dominated
-// by any member of against, preserving cand order.
-func appendUndominated(ctx context.Context, pts []geom.Vector, dst, cand, against []int, workers int) []int {
-	if parallel.Resolve(workers) == 1 || len(cand) < mergeParThreshold {
-		for _, ci := range cand {
-			if !dominatedByAny(pts, pts[ci], against) {
-				dst = append(dst, ci)
-			}
-		}
-		return dst
-	}
-	keep := make([]bool, len(cand))
-	fill := func(start, end int) {
-		for i := start; i < end; i++ {
-			keep[i] = !dominatedByAny(pts, pts[cand[i]], against)
-		}
-	}
-	err := parallel.For(ctx, len(cand), workers, mergeParGrain, func(start, end int) error {
-		fill(start, end)
-		return nil
-	})
-	if err != nil {
-		// Canceled mid-merge (or, for the Background-rooted compat
-		// path, unreachable): fall back to the sequential fill so the
-		// returned skyline stays correct — correctness must not depend
-		// on the fan-out completing.
-		fill(0, len(cand))
-	}
-	for i, ok := range keep {
-		if ok {
-			dst = append(dst, cand[i])
-		}
-	}
-	return dst
-}
-
-// dominatedByAny reports whether p is dominated by any point of the
-// index set against, via the matrix kernel's row-form dominance
-// (decision-identical to geom.Dominates).
-func dominatedByAny(pts []geom.Vector, p geom.Vector, against []int) bool {
-	for _, ai := range against {
-		if mat.DominatesRows(pts[ai], p) {
-			return true
-		}
-	}
-	return false
 }

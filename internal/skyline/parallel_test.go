@@ -21,9 +21,14 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		want, err := Compute(pts, DC)
+		want := brute(pts)
+		seq, err := Of(pts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, want) {
+			t.Fatalf("trial %d: Of differs from brute force (%d vs %d points)",
+				trial, len(seq), len(want))
 		}
 		for _, workers := range []int{0, 1, 2, 7} {
 			got, err := ComputeParallel(pts, workers)
@@ -41,43 +46,5 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 func TestComputeParallelValidates(t *testing.T) {
 	if _, err := ComputeParallel([]geom.Vector{{1, 2}, {1}}, 2); err == nil {
 		t.Fatal("ragged input accepted")
-	}
-}
-
-func TestBBSkylineMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 15; trial++ {
-		n := 50 + rng.Intn(3000)
-		d := 2 + rng.Intn(4)
-		pts := make([]geom.Vector, n)
-		for i := range pts {
-			p := make(geom.Vector, d)
-			for j := range p {
-				p[j] = float64(rng.Intn(40)) / 39 // ties on purpose
-			}
-			pts[i] = p
-		}
-		want, err := Compute(pts, SFS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BBSkyline(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d d=%d): BBS %d points vs SFS %d",
-				trial, n, d, len(got), len(want))
-		}
-	}
-}
-
-func TestBBSkylineEmptyAndErrors(t *testing.T) {
-	got, err := BBSkyline(nil)
-	if err != nil || got != nil {
-		t.Fatalf("empty: %v %v", got, err)
-	}
-	if _, err := BBSkyline([]geom.Vector{{1, 2}, {1}}); err == nil {
-		t.Fatal("ragged accepted")
 	}
 }

@@ -6,58 +6,24 @@
 // The skyline is the candidate set used by all k-regret work prior to
 // the paper (Nanongkai et al. run Greedy over D_sky); the paper's
 // happy points are a subset of it (Lemma 3), and Table III /
-// Figures 8 and 10 compare candidate sets directly, so the repository
-// needs real skyline operators, not a stub. Three classic algorithms
-// are provided:
+// Figures 8 and 10 compare candidate sets directly. Every caller gets
+// it from one operator, the blocked sort-filter kernel of kernel.go:
+// Of runs it sequentially, ComputeParallel stripes it across workers,
+// OfSubset runs it over an index subset, and EpsCover is its
+// ε-relaxed counterpart for the sharded path. UpdateInsert and
+// UpdateDelete patch a cached skyline after a single mutation.
 //
-//   - BNL — block-nested-loop (Börzsönyi, Kossmann, Stocker, ICDE'01);
-//     simple, no preprocessing, O(n²) worst case.
-//   - SFS — sort-filter-skyline (Chomicki et al.): presort by a
-//     monotone score so every kept point is final; usually far fewer
-//     dominance tests than BNL.
-//   - DC — divide & conquer on the first dimension with pairwise
-//     merge, the theoretically better variant from the original
-//     skyline paper.
-//
-// All three return indices into the input slice, sorted ascending, and
-// agree exactly (property-tested).
+// Every operator returns indices into the input slice, sorted
+// ascending, and retains exact duplicates (none dominates its
+// copies). The tests pin each against the O(n²) definition.
 package skyline
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/mat"
 )
-
-// Algorithm selects a skyline implementation.
-type Algorithm int
-
-// Available algorithms.
-const (
-	BNL Algorithm = iota
-	SFS
-	DC
-	// Kernel is the blocked two-tier window over packed rows
-	// (kernel.go) — the default behind Of and ComputeParallel.
-	Kernel
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case BNL:
-		return "BNL"
-	case SFS:
-		return "SFS"
-	case DC:
-		return "DC"
-	case Kernel:
-		return "Kernel"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
 
 // ErrBadInput flags dimension mismatches or non-finite coordinates.
 var ErrBadInput = errors.New("skyline: bad input")
@@ -79,188 +45,14 @@ func validate(pts []geom.Vector) error {
 	return nil
 }
 
-// Compute returns the indices of the skyline points of pts using the
-// requested algorithm. Indices are sorted ascending. Duplicate points
-// are all retained (none dominates its copies).
-func Compute(pts []geom.Vector, algo Algorithm) ([]int, error) {
+// Of returns the indices of the skyline points of pts with the
+// blocked kernel, sorted ascending. Duplicate points are all retained
+// (none dominates its copies).
+func Of(pts []geom.Vector) ([]int, error) {
 	if err := validate(pts); err != nil {
 		return nil, err
 	}
-	switch algo {
-	case BNL:
-		return bnl(pts), nil
-	case SFS:
-		return sfs(pts), nil
-	case DC:
-		return dc(pts), nil
-	case Kernel:
-		return computeKernel(pts)
-	default:
-		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadInput, int(algo))
-	}
-}
-
-// Of is shorthand for Compute with Kernel, the fastest variant here.
-func Of(pts []geom.Vector) ([]int, error) { return Compute(pts, Kernel) }
-
-// bnl is the block-nested-loop algorithm with an in-memory window of
-// mutually non-dominating points. Because the window is an antichain
-// and dominance is transitive, a point dominated by a window entry
-// cannot itself dominate any window entry, so the two checks can run
-// in one pass.
-func bnl(pts []geom.Vector) []int {
-	window := make([]int, 0, 64)
-	keep := make([]int, 0, 64)
-	for i, p := range pts {
-		dominated := false
-		keep = keep[:0]
-		for _, wi := range window {
-			w := pts[wi]
-			if geom.Dominates(w, p) {
-				dominated = true
-				break
-			}
-			if !geom.Dominates(p, w) {
-				keep = append(keep, wi)
-			}
-		}
-		if dominated {
-			continue // window unchanged: p dominated nothing (see above)
-		}
-		window, keep = append(keep, i), window[:0]
-	}
-	sort.Ints(window)
-	return window
-}
-
-// sfs presorts by descending coordinate sum (a monotone scoring
-// function), which guarantees no later point can dominate an earlier
-// one; every window entry is final and the window only grows.
-func sfs(pts []geom.Vector) []int {
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sums := make([]float64, len(pts))
-	for i, p := range pts {
-		sums[i] = p.Sum()
-	}
-	sort.Slice(order, func(a, b int) bool {
-		// Exact ordered comparisons keep the order transitive.
-		sa, sb := sums[order[a]], sums[order[b]]
-		if sa > sb {
-			return true
-		}
-		if sa < sb {
-			return false
-		}
-		return order[a] < order[b]
-	})
-	var sky []int
-	for _, i := range order {
-		p := pts[i]
-		dominated := false
-		for _, si := range sky {
-			if geom.Dominates(pts[si], p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, i)
-		}
-	}
-	sort.Ints(sky)
-	return sky
-}
-
-// dc is divide & conquer: split on the median of the first dimension,
-// solve recursively, then filter the low half against the high half.
-func dc(pts []geom.Vector) []int {
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	out := dcRec(pts, idx)
-	sort.Ints(out)
-	return out
-}
-
-func dcRec(pts []geom.Vector, idx []int) []int {
-	if len(idx) <= 16 {
-		return bruteForce(pts, idx)
-	}
-	// Median split on dimension 0 (ties broken by index for a
-	// deterministic balanced partition).
-	sorted := append([]int(nil), idx...)
-	sort.Slice(sorted, func(a, b int) bool {
-		// Exact ordered comparisons keep the order transitive.
-		pa, pb := pts[sorted[a]][0], pts[sorted[b]][0]
-		if pa < pb {
-			return true
-		}
-		if pa > pb {
-			return false
-		}
-		return sorted[a] < sorted[b]
-	})
-	mid := len(sorted) / 2
-	low, high := sorted[:mid], sorted[mid:]
-	skyLow := dcRec(pts, low)
-	skyHigh := dcRec(pts, high)
-	// Cross-filter both halves. Filtering high against low is also
-	// required: the index tie-break can place points with equal
-	// first-dimension values on both sides of the split, and such a
-	// low point can dominate a high point. Each side is filtered
-	// against the other's unfiltered skyline (valid by transitivity,
-	// and no point can be dropped from both sides because each
-	// skyline is an antichain). Dominance runs through the matrix
-	// kernel's row form — decision-identical to geom.Dominates, with
-	// the branch-free d=4 fast path.
-	merged := make([]int, 0, len(skyLow)+len(skyHigh))
-	for _, hi := range skyHigh {
-		dominated := false
-		for _, li := range skyLow {
-			if mat.DominatesRows(pts[li], pts[hi]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			merged = append(merged, hi)
-		}
-	}
-	for _, li := range skyLow {
-		dominated := false
-		for _, hi := range skyHigh {
-			if mat.DominatesRows(pts[hi], pts[li]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			merged = append(merged, li)
-		}
-	}
-	return merged
-}
-
-// bruteForce is the O(m²) base case over a subset of indices.
-func bruteForce(pts []geom.Vector, idx []int) []int {
-	var out []int
-	for _, i := range idx {
-		dominated := false
-		for _, j := range idx {
-			if i != j && geom.Dominates(pts[j], pts[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
+	return computeKernel(pts)
 }
 
 // IsSkylinePoint reports whether pts[i] is dominated by no other

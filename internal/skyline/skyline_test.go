@@ -21,7 +21,16 @@ func brute(pts []geom.Vector) []int {
 	return out
 }
 
-var algos = []Algorithm{BNL, SFS, DC}
+// impls are the public entry points every reference test runs: the
+// sequential kernel and the striped kernel at widths 1 and 4.
+var impls = []struct {
+	name string
+	fn   func([]geom.Vector) ([]int, error)
+}{
+	{"Of", Of},
+	{"ComputeParallel/1", func(pts []geom.Vector) ([]int, error) { return ComputeParallel(pts, 1) }},
+	{"ComputeParallel/4", func(pts []geom.Vector) ([]int, error) { return ComputeParallel(pts, 4) }},
+}
 
 func TestKnownSmall(t *testing.T) {
 	pts := []geom.Vector{
@@ -33,39 +42,39 @@ func TestKnownSmall(t *testing.T) {
 		{0.94, 0.79}, // dominated by p1
 	}
 	want := []int{0, 1, 2, 3}
-	for _, a := range algos {
-		got, err := Compute(pts, a)
+	for _, a := range impls {
+		got, err := a.fn(pts)
 		if err != nil {
-			t.Fatalf("%v: %v", a, err)
+			t.Fatalf("%s: %v", a.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: got %v, want %v", a, got, want)
+			t.Fatalf("%s: got %v, want %v", a.name, got, want)
 		}
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	for _, a := range algos {
-		got, err := Compute(nil, a)
+	for _, a := range impls {
+		got, err := a.fn(nil)
 		if err != nil || len(got) != 0 {
-			t.Fatalf("%v empty: %v, %v", a, got, err)
+			t.Fatalf("%s empty: %v, %v", a.name, got, err)
 		}
-		got, err = Compute([]geom.Vector{{1, 2}}, a)
+		got, err = a.fn([]geom.Vector{{1, 2}})
 		if err != nil || !reflect.DeepEqual(got, []int{0}) {
-			t.Fatalf("%v single: %v, %v", a, got, err)
+			t.Fatalf("%s single: %v, %v", a.name, got, err)
 		}
 	}
 }
 
 func TestDuplicatesRetained(t *testing.T) {
 	pts := []geom.Vector{{1, 1}, {1, 1}, {0.5, 0.5}}
-	for _, a := range algos {
-		got, err := Compute(pts, a)
+	for _, a := range impls {
+		got, err := a.fn(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, []int{0, 1}) {
-			t.Fatalf("%v: got %v, want both duplicates", a, got)
+			t.Fatalf("%s: got %v, want both duplicates", a.name, got)
 		}
 	}
 }
@@ -77,26 +86,25 @@ func TestAllSkyline(t *testing.T) {
 		x := float64(i) / 49
 		pts = append(pts, geom.Vector{x, 1 - x})
 	}
-	for _, a := range algos {
-		got, err := Compute(pts, a)
+	for _, a := range impls {
+		got, err := a.fn(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(pts) {
-			t.Fatalf("%v: %d skyline points, want all %d", a, len(got), len(pts))
+			t.Fatalf("%s: %d skyline points, want all %d", a.name, len(got), len(pts))
 		}
 	}
 }
 
 func TestBadInput(t *testing.T) {
-	if _, err := Compute([]geom.Vector{{1, 2}, {1}}, BNL); err == nil {
-		t.Fatal("ragged input accepted")
-	}
-	if _, err := Compute([]geom.Vector{{math.NaN(), 1}}, SFS); err == nil {
-		t.Fatal("NaN input accepted")
-	}
-	if _, err := Compute([]geom.Vector{{1}}, Algorithm(42)); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	for _, a := range impls {
+		if _, err := a.fn([]geom.Vector{{1, 2}, {1}}); err == nil {
+			t.Fatalf("%s: ragged input accepted", a.name)
+		}
+		if _, err := a.fn([]geom.Vector{{math.NaN(), 1}}); err == nil {
+			t.Fatalf("%s: NaN input accepted", a.name)
+		}
 	}
 }
 
@@ -115,13 +123,13 @@ func TestAlgorithmsAgreeRandom(t *testing.T) {
 			pts[i] = p
 		}
 		want := brute(pts)
-		for _, a := range algos {
-			got, err := Compute(pts, a)
+		for _, a := range impls {
+			got, err := a.fn(pts)
 			if err != nil {
-				t.Fatalf("%v: %v", a, err)
+				t.Fatalf("%s: %v", a.name, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %v: got %v, want %v", trial, a, got, want)
+				t.Fatalf("trial %d %s: got %v, want %v", trial, a.name, got, want)
 			}
 		}
 	}
@@ -140,7 +148,7 @@ func TestSkylineCharacterization(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		sky, err := Compute(pts, SFS)
+		sky, err := Of(pts)
 		if err != nil {
 			return false
 		}
@@ -174,15 +182,6 @@ func TestSkylineCharacterization(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if BNL.String() != "BNL" || SFS.String() != "SFS" || DC.String() != "DC" {
-		t.Fatal("algorithm names wrong")
-	}
-	if Algorithm(9).String() == "" {
-		t.Fatal("unknown algorithm String empty")
 	}
 }
 

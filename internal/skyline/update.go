@@ -9,7 +9,7 @@ import (
 
 // Incremental skyline maintenance for Dataset.Insert/Delete: patch a
 // cached skyline instead of recomputing it. Both operators return
-// sets provably identical to a from-scratch Compute on the mutated
+// sets provably identical to a from-scratch Of on the mutated
 // points (pinned by the differential suite in update_test.go):
 // dominance is an exact, tolerance-free predicate here, and skyline
 // membership ("dominated by nobody") does not depend on scan order.

@@ -189,7 +189,6 @@ type options struct {
 	candidates CandidateSet
 	workers    int
 	fallback   bool
-	pruning    bool
 	coresetEps float64
 	walPath    string
 	walSnap    string
@@ -206,7 +205,7 @@ func (o *options) validateCoreset() error {
 }
 
 func defaultOptions() options {
-	return options{normalize: true, algorithm: AlgoGeoGreedy, candidates: CandidatesHappy, workers: 0, fallback: true, pruning: true}
+	return options{normalize: true, algorithm: AlgoGeoGreedy, candidates: CandidatesHappy, workers: 0, fallback: true}
 }
 
 // WithParallelism bounds the intra-query parallelism at `workers`
@@ -235,19 +234,6 @@ func WithAlgorithm(a Algorithm) Option { return func(o *options) { o.algorithm =
 
 // WithCandidates selects the candidate set the solver searches.
 func WithCandidates(c CandidateSet) Option { return func(o *options) { o.candidates = c } }
-
-// WithPruning toggles extreme-set pruning in the evaluators
-// (EvaluateMRR, RegretOf, AverageRegret, WorstUtility): when on (the
-// default), the "max over the dataset" side of every evaluation scans
-// only the skyline points. The results are bit-identical — for any
-// non-negative utility the dataset maximum is attained at a skyline
-// point with the same float64 value (DESIGN.md §12) — so the toggle
-// exists for the differential test suite and for measuring the
-// pruning win itself, not because the answers differ.
-//
-// It is a NewDataset option; as a Query option it has no effect
-// (queries already run over filtered candidate sets).
-func WithPruning(on bool) Option { return func(o *options) { o.pruning = on } }
 
 // WithCoreset makes the dataset serve happy-point queries from an
 // ε-kernel coreset: a subset of the happy points whose maximum regret
@@ -292,7 +278,6 @@ func WithoutFallback() Option { return func(o *options) { o.fallback = false } }
 // pre-crash state from the last snapshot plus the log.
 type Dataset struct {
 	workers int
-	pruning bool
 
 	// state is the current epoch. Readers load it once per operation
 	// (see snap) and do all their work against that one epoch.
@@ -315,7 +300,6 @@ type dsState struct {
 	pts        []geom.Vector
 	seq        uint64 // last mutation folded into this epoch
 	workers    int
-	pruning    bool
 	coresetEps float64 // 0 = coreset layer disabled
 
 	evalOnce sync.Once
@@ -347,8 +331,8 @@ type dsState struct {
 	coreErr  error
 }
 
-func newState(pts []geom.Vector, seq uint64, workers int, pruning bool, coresetEps float64) *dsState {
-	return &dsState{pts: pts, seq: seq, workers: workers, pruning: pruning, coresetEps: coresetEps}
+func newState(pts []geom.Vector, seq uint64, workers int, coresetEps float64) *dsState {
+	return &dsState{pts: pts, seq: seq, workers: workers, coresetEps: coresetEps}
 }
 
 // snap returns the current epoch. Every public operation loads it
@@ -359,8 +343,8 @@ func (d *Dataset) snap() *dsState { return d.state.Load() }
 // newDatasetFromVectors finishes Dataset construction from validated,
 // already-normalized vectors (shared by NewDataset and Recover).
 func newDatasetFromVectors(pts []geom.Vector, seq uint64, o options) *Dataset {
-	d := &Dataset{workers: o.workers, pruning: o.pruning}
-	d.state.Store(newState(pts, seq, o.workers, o.pruning, o.coresetEps))
+	d := &Dataset{workers: o.workers}
+	d.state.Store(newState(pts, seq, o.workers, o.coresetEps))
 	return d
 }
 
@@ -417,8 +401,8 @@ func NewDataset(points []Point, opts ...Option) (*Dataset, error) {
 }
 
 // evalIndex lazily builds the epoch's evaluation index: the points
-// flattened into one contiguous matrix plus (with pruning on) the
-// skyline as the extreme set the evaluators scan. Built once behind a
+// flattened into one contiguous matrix plus the skyline as the extreme
+// set the evaluators scan (exact, see DESIGN.md §12). Built once behind a
 // sync.Once; concurrent first callers share the computation, and the
 // skyline itself is reused from — or seeds — the skyline cache.
 func (s *dsState) evalIndex() (*core.EvalIndex, error) {
@@ -428,16 +412,14 @@ func (s *dsState) evalIndex() (*core.EvalIndex, error) {
 			s.evalErr = fmt.Errorf("kregret: %w", err)
 			return
 		}
-		if s.pruning {
-			sky, err := s.skyline()
-			if err != nil {
-				s.evalErr = err
-				return
-			}
-			if err := x.SetExtreme(sky); err != nil {
-				s.evalErr = fmt.Errorf("kregret: %w", err)
-				return
-			}
+		sky, err := s.skyline()
+		if err != nil {
+			s.evalErr = err
+			return
+		}
+		if err := x.SetExtreme(sky); err != nil {
+			s.evalErr = fmt.Errorf("kregret: %w", err)
+			return
 		}
 		s.eval = x
 	})
@@ -471,11 +453,7 @@ func (d *Dataset) Point(i int) Point {
 // copied — callers must not modify the slice).
 func (s *dsState) skyline() ([]int, error) {
 	s.skyOnce.Do(func() {
-		if parallel.Resolve(s.workers) == 1 {
-			s.sky, s.skyErr = skyline.Of(s.pts)
-		} else {
-			s.sky, s.skyErr = skyline.ComputeParallel(s.pts, s.workers)
-		}
+		s.sky, s.skyErr = skyline.ComputeParallel(s.pts, s.workers)
 		if s.skyErr != nil {
 			s.skyErr = fmt.Errorf("kregret: %w", s.skyErr)
 			return

@@ -87,7 +87,7 @@ func (d *Dataset) Seq() uint64 { return d.snap().seq }
 // to later mutations of the parent. The snapshot has no WAL — it is
 // a view, not a fork of the durable history.
 func (d *Dataset) Snapshot() *Dataset {
-	nd := &Dataset{workers: d.workers, pruning: d.pruning}
+	nd := &Dataset{workers: d.workers}
 	nd.state.Store(d.snap())
 	return nd
 }
@@ -139,7 +139,7 @@ func (d *Dataset) Insert(p Point) (int, error) {
 	pts := make([]geom.Vector, len(st.pts)+1)
 	copy(pts, st.pts)
 	pts[len(st.pts)] = v
-	ns := newState(pts, seq, st.workers, st.pruning, st.coresetEps)
+	ns := newState(pts, seq, st.workers, st.coresetEps)
 	seedAfterInsert(st, ns)
 	d.state.Store(ns)
 	return len(pts) - 1, nil
@@ -236,7 +236,7 @@ func (d *Dataset) Delete(i int) error {
 		pts = append(pts, st.pts[:i]...)
 		pts = append(pts, st.pts[i+1:]...)
 	}
-	ns := newState(pts, seq, st.workers, st.pruning, st.coresetEps)
+	ns := newState(pts, seq, st.workers, st.coresetEps)
 	seedAfterDelete(st, ns, i)
 	d.state.Store(ns)
 	return nil

@@ -168,7 +168,7 @@ func buildShardView(ctx context.Context, ds *Dataset, shards int, eps float64) (
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("kregret: shard merge: %w", err)
 	}
-	serveDS := newDatasetFromVectors(pts, st.seq, options{workers: st.workers, pruning: st.pruning})
+	serveDS := newDatasetFromVectors(pts, st.seq, options{workers: st.workers})
 	return serveDS, coreIdx, shards, nil
 }
 

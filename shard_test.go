@@ -329,10 +329,10 @@ func TestSnapshotRejectsBadCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, core := range [][]int{
-		{5, 3},            // unsorted
-		{2, 2},            // duplicate
-		{-1, 4},           // negative
-		{0, ds.Len()},     // out of range
+		{5, 3},               // unsorted
+		{2, 2},               // duplicate
+		{-1, 4},              // negative
+		{0, ds.Len()},        // out of range
 		{0, 1, ds.Len() * 2}, // far out of range
 	} {
 		tampered := &Index{list: idx.list, cand: idx.cand, core: core}
