@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 )
@@ -42,8 +40,6 @@ type engineOptions struct {
 	breakerCooldown     time.Duration
 	snapshotPath        string
 	queryOpts           []Option
-	retryBudget         int
-	retryBackoff        time.Duration
 	watchdogInterval    time.Duration
 	rebuildEvery        int
 	sharded             bool
@@ -97,10 +93,10 @@ func WithBreaker(threshold int, cooldown time.Duration) EngineOption {
 
 // WithSnapshot makes the engine serve index-backed queries from a
 // snapshot file: at startup the engine loads path, and when the file
-// is missing, corrupt (ErrCorruptIndex) or built from a different
-// dataset (ErrIndexMismatch) it rebuilds the StoredList from scratch
-// and atomically rewrites the snapshot instead of failing. The
-// rebuild is recorded in Stats().SnapshotRebuilt.
+// is missing, corrupt (ErrCorruptIndex), of another format version or
+// built from a different dataset (ErrIndexMismatch) it rebuilds the
+// StoredList from scratch and atomically rewrites the snapshot instead
+// of failing. The rebuild is recorded in Stats().SnapshotRebuilt.
 func WithSnapshot(path string) EngineOption {
 	return func(o *engineOptions) { o.snapshotPath = path }
 }
@@ -109,24 +105,6 @@ func WithSnapshot(path string) EngineOption {
 // applied to every Engine.Query before the per-call options.
 func WithQueryDefaults(opts ...Option) EngineOption {
 	return func(o *engineOptions) { o.queryOpts = append(o.queryOpts, opts...) }
-}
-
-// WithRetryBudget gives every query up to `retries` transparent
-// re-attempts after a transient numerical failure (a *NumericalError
-// — cancellation and validation errors are never retried), with
-// capped exponential backoff plus jitter between attempts: the n-th
-// wait is backoff·2ⁿ, capped at 64·backoff, jittered into [d/2, d) so
-// a storm of failing workers does not re-converge in lockstep. The
-// wait honors the request context — a retry is never started when the
-// remaining deadline cannot outlast its backoff, so the budget adds
-// latency only to queries that still have time to be rescued.
-// Re-attempts and rescues are counted in Stats (Retries,
-// RetrySuccesses). Default: no retries.
-func WithRetryBudget(retries int, backoff time.Duration) EngineOption {
-	return func(o *engineOptions) {
-		o.retryBudget = retries
-		o.retryBackoff = backoff
-	}
 }
 
 // WithRebuildThreshold sets how many applied mutations accumulate
@@ -177,19 +155,16 @@ type EngineStats struct {
 	BreakerShortCircuits uint64
 	Breakers             map[string]string
 	// Self-healing counters. ShedAtDequeue is the subset of
-	// ShedDeadline dropped after admission (see serve.Stats); Retries
-	// counts transparent re-attempts under WithRetryBudget and
-	// RetrySuccesses the queries rescued by one; WatchdogStuck counts
-	// in-flight queries the watchdog found running past their
-	// deadline (each quarantines its breaker key). DrainDuration is
-	// how long the shutdown drain took, zero until it has completed.
-	ShedAtDequeue  uint64
-	Retries        uint64
-	RetrySuccesses uint64
-	WatchdogStuck  uint64
-	DrainDuration  time.Duration
+	// ShedDeadline dropped after admission (see serve.Stats);
+	// WatchdogStuck counts in-flight queries the watchdog found running
+	// past their deadline (each quarantines its breaker key).
+	// DrainDuration is how long the shutdown drain took, zero until it
+	// has completed.
+	ShedAtDequeue uint64
+	WatchdogStuck uint64
+	DrainDuration time.Duration
 	// SnapshotRebuilt reports that startup found the snapshot file
-	// missing, corrupt or mismatched and rebuilt the index.
+	// missing, corrupt, outdated or mismatched and rebuilt the index.
 	SnapshotRebuilt bool
 	// Mutation counters. Epoch is the serving epoch number (1 at
 	// startup, +1 per fold); MutationsApplied counts mutations
@@ -242,8 +217,6 @@ type Engine struct {
 
 	degraded        atomic.Uint64
 	breakerShorts   atomic.Uint64
-	retries         atomic.Uint64
-	retrySuccesses  atomic.Uint64
 	watchdogStuck   atomic.Uint64
 	applied         atomic.Uint64
 	rebuilds        atomic.Uint64
@@ -380,9 +353,10 @@ func derivePerQueryWorkers(budget, poolWorkers int) int {
 }
 
 // loadOrRebuildIndex implements the crash-safe startup path: a
-// loadable snapshot wins; a missing, corrupt or mismatched one is
-// replaced by a fresh build written back atomically. Only unexpected
-// failures (I/O errors, a numerically failing build) propagate.
+// loadable snapshot wins; a missing, corrupt, outdated or mismatched
+// one is replaced by a fresh build written back atomically. Only
+// unexpected failures (I/O errors, a numerically failing build)
+// propagate.
 func loadOrRebuildIndex(ds *Dataset, path string) (*Index, bool, error) {
 	idx, err := LoadFile(path, ds)
 	if err == nil && idx.core == nil {
@@ -408,10 +382,12 @@ func loadOrRebuildIndex(ds *Dataset, path string) (*Index, bool, error) {
 }
 
 // loadFailureRebuildable reports whether a snapshot load failure is
-// one the startup path recovers from by rebuilding: missing, corrupt
-// or built from different data. I/O errors and the like propagate.
+// one the startup path recovers from by rebuilding: missing, corrupt,
+// of another format version or built from different data. I/O errors
+// and the like propagate.
 func loadFailureRebuildable(err error) bool {
-	return errors.Is(err, ErrCorruptIndex) || errors.Is(err, ErrIndexMismatch) || errors.Is(err, os.ErrNotExist)
+	return errors.Is(err, ErrCorruptIndex) || errors.Is(err, errSnapshotVersion) ||
+		errors.Is(err, ErrIndexMismatch) || errors.Is(err, os.ErrNotExist)
 }
 
 // Query answers a k-regret query through the serving pipeline:
@@ -420,7 +396,8 @@ func loadFailureRebuildable(err error) bool {
 // queries on an engine built WithSnapshot) or the full solver behind
 // its circuit breaker. While a breaker is open the query is routed
 // straight to the Cube fallback and the answer is marked Degraded
-// with the breaker named in FallbackReason.
+// with the breaker named in FallbackReason. Queries with
+// WithoutFallback bypass the breaker and run the requested solver.
 func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, error) {
 	if k < 1 {
 		return nil, ErrBadK
@@ -445,9 +422,13 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 }
 
 // serve runs one admitted query on a worker goroutine: the per-query
-// wall-clock budget, then serveOnce under the retry budget — a failed
-// attempt with a transient numerical cause is re-run after a capped,
-// jittered, context-aware backoff, and never past the deadline.
+// wall-clock budget, then the index or the solver behind its breaker.
+// It loads the serving epoch exactly once, up front: every read below
+// — index, breaker key, solver — comes from that one generation, so an
+// epoch swap mid-query cannot hand it a mixed view. A numerical
+// failure is rescued only by the in-query fallback chain (perturbed
+// retry, Greedy, Cube); the solvers are deterministic, so re-running
+// the same query on the same epoch would fail the same way.
 func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
 		var cancel context.CancelFunc
@@ -459,81 +440,6 @@ func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, erro
 		f(&o)
 	}
 
-	var (
-		ans *Answer
-		err error
-	)
-	for attempt := 0; ; attempt++ {
-		ans, err = e.serveOnce(ctx, k, &o, opts)
-		if err == nil && attempt > 0 {
-			e.retrySuccesses.Add(1)
-		}
-		if err == nil || attempt >= e.opts.retryBudget || !transientError(err) {
-			return ans, err
-		}
-		delay := retryDelay(e.opts.retryBackoff, attempt)
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= delay {
-			// The deadline ends before the backoff would: retrying
-			// could only burn a worker on doomed work.
-			return ans, err
-		}
-		e.retries.Add(1)
-		if !waitBackoff(ctx, delay) {
-			return ans, err
-		}
-	}
-}
-
-// transientError reports whether a failed attempt is worth retrying:
-// only numerical failures are — cancellation and validation errors
-// say the request (not the solver's luck) was the problem. Both forms
-// count: the typed *NumericalError (fallback chain exhausted, or a
-// recovered panic) and the bare core degeneracy error that
-// WithoutFallback queries surface directly.
-func transientError(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if core.IsNumerical(err) {
-		return true
-	}
-	var ne *NumericalError
-	return errors.As(err, &ne)
-}
-
-// retryDelay is the capped exponential backoff with jitter: the n-th
-// retry waits base·2ⁿ (capped at 64·base), jittered into [d/2, d) so
-// concurrent failing queries do not re-converge in lockstep.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	if attempt > 6 {
-		attempt = 6
-	}
-	d := base << uint(attempt)
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// waitBackoff blocks for d or until ctx ends, whichever comes first,
-// and reports whether the full wait elapsed — the context-aware wait
-// shape the sleepctx analyzer enforces for every retry loop.
-func waitBackoff(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// serveOnce runs one attempt of an admitted query. It loads the
-// serving epoch exactly once, up front: every read below — index,
-// breaker key, solver — comes from that one generation, so an epoch
-// swap mid-attempt cannot hand the attempt a mixed view.
-func (e *Engine) serveOnce(ctx context.Context, k int, o *options, opts []Option) (*Answer, error) {
 	ep := e.epoch.Load()
 	if e.watchdogDone != nil {
 		deadline, _ := ctx.Deadline() // zero when unbounded: never stuck
@@ -570,12 +476,13 @@ func (e *Engine) serveOnce(ctx context.Context, k int, o *options, opts []Option
 		return ans, err
 	}
 
-	br := e.breakers.For(breakerKey(o.algorithm, ep.ds.Dim()))
-	if o.algorithm == AlgoCube {
-		// Cube is the floor of the fallback chain — non-adaptive
-		// arithmetic with nothing to break.
+	if o.algorithm == AlgoCube || !o.fallback {
+		// Cube is the floor of the fallback chain, with nothing to
+		// break. A fallback-disabled query wants its solver's answer
+		// or error, never a substitute, so it bypasses the breaker.
 		return serveQuery()
 	}
+	br := e.breakers.For(breakerKey(o.algorithm, ep.ds.Dim()))
 	if !br.Allow() {
 		ans, err := serveQuery(WithAlgorithm(AlgoCube))
 		if err != nil {
@@ -654,8 +561,6 @@ func (e *Engine) Stats() EngineStats {
 		BreakerShortCircuits: e.breakerShorts.Load(),
 		Breakers:             breakers,
 		ShedAtDequeue:        ps.ShedAtDequeue,
-		Retries:              e.retries.Load(),
-		RetrySuccesses:       e.retrySuccesses.Load(),
 		WatchdogStuck:        e.watchdogStuck.Load(),
 		DrainDuration:        ps.DrainDuration,
 		SnapshotRebuilt:      e.snapshotRebuilt,

@@ -2,9 +2,9 @@
 
 // Fault-injection tests for the serving engine: the breaker
 // trip → half-open → close cycle driven by an injected numerical
-// storm, the forced queue overflow, and the torn-write → startup
-// rebuild path. They compile only under the kregretfault tag
-// (`make test-serve`).
+// storm, WithoutFallback bypassing an open breaker, the forced queue
+// overflow, and the torn-write → startup rebuild path. They compile
+// only under the kregretfault tag (`make test-serve`).
 package kregret
 
 import (
@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -90,6 +91,64 @@ func TestEngineBreakerCycleUnderNumericalStorm(t *testing.T) {
 	}
 	if state := eng.Stats().Breakers[key]; state != "closed" {
 		t.Fatalf("breaker %s is %q after a healthy probe, want closed", key, state)
+	}
+}
+
+// TestEngineWithoutFallbackBypassesBreaker pins the WithoutFallback
+// contract on an engine whose breaker is open: the query runs the
+// requested solver and returns its answer or its error — never a
+// Cube substitute — and leaves the breaker alone.
+func TestEngineWithoutFallbackBypassesBreaker(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	ds := faultDataset(t)
+	eng, err := NewEngine(ds, WithWorkers(1), WithBreaker(3, time.Hour),
+		WithQueryDefaults(WithCandidates(CandidatesAll)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := eng.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	key := breakerKey(AlgoGeoGreedy, ds.Dim())
+
+	// A NaN storm degrades three fallback-enabled queries and trips
+	// the breaker; the hour-long cooldown keeps it open.
+	fault.Arm(fault.SiteGeoGreedySupport, -1)
+	for i := 0; i < 3; i++ {
+		if _, err := eng.Query(context.Background(), 5); err != nil {
+			t.Fatalf("storm query %d failed outright: %v", i, err)
+		}
+	}
+	if state := eng.Stats().Breakers[key]; state != "open" {
+		t.Fatalf("breaker %s is %q after the storm, want open", key, state)
+	}
+	shorts := eng.Stats().BreakerShortCircuits
+
+	// Under the live fault the solver's own failure comes back.
+	ans, err := eng.Query(context.Background(), 5, WithoutFallback())
+	if !core.IsNumerical(err) || ans != nil {
+		t.Fatalf("fallback-disabled query under the storm: got answer %+v, err %v; want the numerical error", ans, err)
+	}
+
+	// With the fault gone the same query runs GeoGreedy cleanly.
+	fault.Reset()
+	ans, err = eng.Query(context.Background(), 5, WithoutFallback())
+	if err != nil {
+		t.Fatalf("fallback-disabled query after the storm: %v", err)
+	}
+	if ans.Degraded || ans.Algorithm != AlgoGeoGreedy {
+		t.Fatalf("fallback-disabled query was substituted: %+v", ans)
+	}
+
+	s := eng.Stats()
+	if state := s.Breakers[key]; state != "open" {
+		t.Fatalf("breaker %s is %q, want still open: fallback-disabled queries must not probe it", key, state)
+	}
+	if s.BreakerShortCircuits != shorts {
+		t.Fatalf("short circuits moved from %d to %d on fallback-disabled queries", shorts, s.BreakerShortCircuits)
 	}
 }
 

@@ -278,7 +278,7 @@ func TestEngineStatsShape(t *testing.T) {
 	if state := s.Breakers[breakerKey(AlgoGeoGreedy, 3)]; state != "closed" {
 		t.Fatalf("breaker state %q, want closed (%v)", state, s.Breakers)
 	}
-	if s.Retries != 0 || s.RetrySuccesses != 0 || s.WatchdogStuck != 0 || s.ShedAtDequeue != 0 {
+	if s.WatchdogStuck != 0 || s.ShedAtDequeue != 0 {
 		t.Fatalf("self-healing counters nonzero after one healthy query: %+v", s)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // WireGuard protects the gob wire formats behind Index.Save and
-// StoredList.Save (the v1/v2 compat promise): every named struct a
+// StoredList.Save (their versioned layouts): every named struct a
 // package gob-encodes or gob-decodes must be registered in a package
 // manifest that pins its version and field layout on one line:
 //

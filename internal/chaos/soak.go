@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,14 +38,17 @@ type Config struct {
 
 // Report summarizes a soak run's observed outcomes.
 type Report struct {
-	Seed      int64
-	Issued    uint64
-	OK        uint64 // non-degraded answers, byte-checked against control
-	Degraded  uint64
-	Shed      uint64 // ErrShed + ErrOverloaded + ErrShuttingDown
-	Canceled  uint64 // context errors surfaced to the client
-	Numerical uint64 // fallback-disabled numerical failures
-	Mutations uint64 // durable inserts applied through Engine.Apply
+	Seed     int64
+	Issued   uint64
+	OK       uint64 // non-degraded answers, byte-checked against control
+	Degraded uint64
+	// Degraded split by the stage that answered: the fallback chain's
+	// perturbed retry, Greedy or Cube, or Cube from an open breaker.
+	Perturbed, Greedy, ChainCube, BreakerCube uint64
+	Shed                                      uint64 // ErrShed + ErrOverloaded + ErrShuttingDown
+	Canceled                                  uint64 // context errors surfaced to the client
+	Numerical                                 uint64 // fallback-disabled numerical failures
+	Mutations                                 uint64 // durable inserts applied through Engine.Apply
 	// MutationsFailed counts Apply errors other than shutdown — an
 	// injected WAL fsync or compaction failure. Each is individually
 	// harmless (the mutation was cleanly rejected or applied with its
@@ -56,7 +60,23 @@ type Report struct {
 // outcome counters shared by the soak clients.
 type tally struct {
 	issued, ok, degraded, shed, canceled, numerical atomic.Uint64
+	perturbed, greedy, chainCube, breakerCube       atomic.Uint64
 	mutations, mutationsFailed                      atomic.Uint64
+}
+
+// rescueCounter picks the counter for a degraded answer by the stage
+// that produced it. requested is the algorithm the query asked for.
+func (tl *tally) rescueCounter(requested kregret.Algorithm, ans *kregret.Answer) *atomic.Uint64 {
+	switch {
+	case strings.HasPrefix(ans.FallbackReason, "circuit breaker open"):
+		return &tl.breakerCube
+	case ans.Algorithm == requested:
+		return &tl.perturbed
+	case ans.Algorithm == kregret.AlgoGreedy:
+		return &tl.greedy
+	default:
+		return &tl.chainCube
+	}
 }
 
 // violation collection: the soak never fails fast — it records every
@@ -195,7 +215,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		kregret.WithWorkers(4),
 		kregret.WithQueueDepth(8),
 		kregret.WithBreaker(3, 40*time.Millisecond),
-		kregret.WithRetryBudget(2, time.Millisecond),
 		kregret.WithWatchdog(5*time.Millisecond),
 		kregret.WithQueryTimeout(250*time.Millisecond),
 		kregret.WithSnapshot(snap),
@@ -365,6 +384,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Issued:          tl.issued.Load(),
 		OK:              tl.ok.Load(),
 		Degraded:        tl.degraded.Load(),
+		Perturbed:       tl.perturbed.Load(),
+		Greedy:          tl.greedy.Load(),
+		ChainCube:       tl.chainCube.Load(),
+		BreakerCube:     tl.breakerCube.Load(),
 		Shed:            tl.shed.Load(),
 		Canceled:        tl.canceled.Load(),
 		Numerical:       tl.numerical.Load(),
@@ -417,6 +440,9 @@ func issueOne(ctx context.Context, eng *kregret.Engine, req Request, want *kregr
 		}
 	case err == nil:
 		tl.degraded.Add(1)
+		// The control answer was not degraded, so its algorithm is the
+		// one the query asked for.
+		tl.rescueCounter(want.Algorithm, ans).Add(1)
 		// Degraded answers may differ from control but must still be
 		// well-formed: a k-selection with a sane regret ratio.
 		if len(ans.Indices) == 0 || len(ans.Indices) > req.K {

@@ -260,7 +260,9 @@ func WithCoreset(eps float64) Option { return func(o *options) { o.coresetEps = 
 // of the configured algorithm surfaces as a *NumericalError instead
 // of being retried with perturbed candidates and weaker algorithms.
 // Use it when a degraded answer is worse than no answer (e.g. when
-// measuring the algorithms themselves).
+// measuring the algorithms themselves). On an Engine such a query
+// also bypasses the circuit breaker: it never gets a Cube substitute,
+// and its failures do not count toward tripping the breaker.
 func WithoutFallback() Option { return func(o *options) { o.fallback = false } }
 
 // Dataset is a collection of tuples prepared for k-regret queries.
@@ -812,8 +814,8 @@ func runSolver(ctx context.Context, alg Algorithm, candPts []geom.Vector, k int,
 
 // perturbed returns a copy of pts with every coordinate scaled by
 // 1 + ε·h(i,j), where h is a fixed integer hash mapped into [−1, 1]
-// and ε = 1e-9. The perturbation is deterministic (retries are
-// reproducible), preserves strict positivity and finiteness, and is
+// and ε = 1e-9. The perturbation is deterministic (the perturbed
+// stage is reproducible), preserves strict positivity and finiteness, and is
 // far below every tolerance used by the solvers — it exists only to
 // break exact ties that trip degenerate code paths.
 func perturbed(pts []geom.Vector) []geom.Vector {

@@ -1,7 +1,6 @@
 package kregret
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -31,24 +30,28 @@ var (
 	// typed error (never a panic, never a silently-wrong index), so
 	// callers can fall back to rebuilding the StoredList.
 	ErrCorruptIndex = errors.New("kregret: corrupt index snapshot")
+
+	// errSnapshotVersion wraps both frame- and payload-version
+	// mismatches: an intact snapshot written by another format
+	// version, which loadFailureRebuildable treats like corruption.
+	errSnapshotVersion = errors.New("kregret: unsupported index snapshot version")
 )
 
-// Snapshot wire format v2 (the current write format):
+// Snapshot wire format v2, the only one LoadIndex reads:
 //
 //	offset 0  magic "KRGX" (4 bytes)
 //	       4  format version (1 byte, currently 2)
 //	       5  payload length (uint64 little-endian)
-//	      13  payload: the v1 body — gob(indexWire) ++ gob(StoredList)
+//	      13  payload: gob(indexWire) ++ gob(StoredList)
 //	  13+len  CRC-32C over bytes [0, 13+len) (uint32 little-endian)
 //
 // The CRC trailer covers the header and both gob streams together, so
-// a truncation or bit flip anywhere in the file — including inside
-// the second stream, which v1 could not protect — surfaces as
-// ErrCorruptIndex before any gob decoding happens. Version 1 files
-// (bare concatenated gob streams, no frame) are still readable: they
-// cannot begin with the magic because a gob stream's first byte is a
-// small message length, and 'K' (0x4b) would imply a 75-byte first
-// message where the indexWire type definition is longer.
+// a truncation or bit flip anywhere in the file surfaces as
+// ErrCorruptIndex before any gob decoding happens. The pre-frame
+// format (bare concatenated gob streams) lacks the magic and is
+// rejected as ErrCorruptIndex; another frame version is an
+// errSnapshotVersion error. Either way the engine's WithSnapshot
+// startup rebuilds the index: a snapshot is derived data.
 const (
 	snapshotMagic   = "KRGX"
 	snapshotVersion = 2
@@ -63,20 +66,17 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 // indexWire is the gob envelope around a stored list: the happy
 // candidate mapping plus a checksum binding the index to the dataset
 // it was built from. Its Version field versions the payload schema,
-// independent of the outer frame version.
+// independent of the outer frame version; only the current version
+// loads.
 //
-// Payload v2 adds Ext — the skyline (extreme set) indices computed
-// during preprocessing — so loading a snapshot also seeds the
-// dataset's evaluation pruning without recomputing the skyline pass.
-// v1 payloads (no Ext; gob omits absent fields, so the field decodes
-// as nil) still load, they just skip the seeding.
-//
-// Payload v3 adds Core — the sharded engine's merged coreset (global
-// indices, ascending) — so reload can tell a core-built StoredList
-// apart from an exact one and match it against the current shard
-// configuration. Ext and Core are mutually exclusive: a core-built
-// snapshot skips the full-dataset skyline (recomputing it at scale
-// would defeat the sharding). v1/v2 payloads decode with Core nil.
+// Ext holds the skyline (extreme set) indices computed during
+// preprocessing, so loading a snapshot also seeds the dataset's
+// evaluation pruning without recomputing the skyline pass. Core holds
+// the sharded engine's merged coreset (global indices, ascending), so
+// reload can tell a core-built StoredList apart from an exact one and
+// match it against the current shard configuration. Ext and Core are
+// mutually exclusive: a core-built snapshot skips the full-dataset
+// skyline (recomputing it at scale would defeat the sharding).
 type indexWire struct {
 	Version  int
 	Checksum uint64
@@ -91,7 +91,7 @@ const indexVersion = 3
 // wireManifest pins the gob wire layout of every struct this package
 // persists (checked by the wireguard analyzer): changing a field
 // means rewriting the entry on this line, which is where the version
-// bump and the decoder's compat path get reviewed together.
+// bump gets reviewed.
 var wireManifest = map[string]string{
 	"indexWire":   "v3 Version int; Checksum uint64; N int; Dim int; Cand []int; Ext []int; Core []int",
 	"datasetWire": "v1 Version int; Seq uint64; N int; Dim int; Coords []float64",
@@ -162,43 +162,29 @@ func (x *Index) Save(w io.Writer, d *Dataset) error {
 // the snapshot integrity (CRC trailer; damage comes back as
 // ErrCorruptIndex) and that it was built from exactly the given
 // dataset (content checksum; mismatch comes back as
-// ErrIndexMismatch). Version-1 snapshots written before the CRC frame
-// existed still load.
+// ErrIndexMismatch). A snapshot of another format version is an
+// error too; rebuild the index from the dataset.
 func LoadIndex(r io.Reader, d *Dataset) (*Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(snapshotMagic))
-	if err != nil {
-		// Not even a magic's worth of bytes: neither format can be
-		// this short.
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorruptIndex, err)
-	}
-	if string(head) == snapshotMagic {
-		return loadFramed(br, d)
-	}
-	// Legacy v1: two bare gob streams, no integrity trailer.
-	return decodeIndexPayload(br, d)
-}
-
-// loadFramed reads a v2 frame, verifies the CRC trailer, and decodes
-// the payload. Any framing or integrity violation is ErrCorruptIndex.
-func loadFramed(br *bufio.Reader, d *Dataset) (*Index, error) {
 	hdr := make([]byte, snapshotHdrLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorruptIndex, err)
+	}
+	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, fmt.Errorf("%w: missing %s magic", ErrCorruptIndex, snapshotMagic)
 	}
 	if v := hdr[4]; v != snapshotVersion {
-		return nil, fmt.Errorf("kregret: index snapshot format v%d, want v%d", v, snapshotVersion)
+		return nil, fmt.Errorf("%w: frame format v%d, want v%d", errSnapshotVersion, v, snapshotVersion)
 	}
 	n := binary.LittleEndian.Uint64(hdr[5:])
 	if n > maxSnapshotPayload {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorruptIndex, n)
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptIndex, err)
 	}
 	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
+	if _, err := io.ReadFull(r, trailer[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing CRC trailer: %v", ErrCorruptIndex, err)
 	}
 	crc := crc32.Checksum(hdr, snapshotCRC)
@@ -209,8 +195,8 @@ func loadFramed(br *bufio.Reader, d *Dataset) (*Index, error) {
 	return decodeIndexPayload(bytes.NewReader(payload), d)
 }
 
-// decodeIndexPayload decodes the two gob streams shared by both
-// formats and validates them against the dataset. Decode failures are
+// decodeIndexPayload decodes the payload's two gob streams and
+// validates them against the dataset. Decode failures are
 // corruption; a clean decode that names a different dataset is
 // ErrIndexMismatch.
 func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
@@ -218,8 +204,8 @@ func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("%w: decoding index: %v", ErrCorruptIndex, err)
 	}
-	if wire.Version < 1 || wire.Version > indexVersion {
-		return nil, fmt.Errorf("kregret: index version %d, want 1..%d", wire.Version, indexVersion)
+	if wire.Version != indexVersion {
+		return nil, fmt.Errorf("%w: payload v%d, want v%d", errSnapshotVersion, wire.Version, indexVersion)
 	}
 	if wire.N != d.Len() || wire.Dim != d.Dim() || wire.Checksum != d.checksum() {
 		return nil, ErrIndexMismatch
@@ -229,9 +215,9 @@ func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
 			return nil, fmt.Errorf("%w: index candidate %d out of range", ErrCorruptIndex, c)
 		}
 	}
-	// The extreme set rides along since payload v2. Validate before
-	// seeding: a snapshot that passed the CRC can still carry garbage
-	// if it was written by a buggy or hostile producer.
+	// Validate the extreme set before seeding: a snapshot that passed
+	// the CRC can still carry garbage if it was written by a buggy or
+	// hostile producer.
 	for k, e := range wire.Ext {
 		if e < 0 || e >= d.Len() {
 			return nil, fmt.Errorf("%w: extreme index %d out of range", ErrCorruptIndex, e)
@@ -240,7 +226,7 @@ func decodeIndexPayload(r io.Reader, d *Dataset) (*Index, error) {
 			return nil, fmt.Errorf("%w: extreme set not strictly ascending at position %d", ErrCorruptIndex, k)
 		}
 	}
-	// The sharded core (payload v3) gets the same treatment: global
+	// The sharded core gets the same treatment: global
 	// indices, strictly ascending. Ext is never persisted alongside it.
 	for k, c := range wire.Core {
 		if c < 0 || c >= d.Len() {

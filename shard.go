@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -214,7 +215,7 @@ func buildShardedIndex(ctx context.Context, serveDS *Dataset, coreMap []int) (*I
 // back atomically.
 func loadOrRebuildShardedIndex(ctx context.Context, fullDS, serveDS *Dataset, coreMap []int, path string) (*Index, bool, error) {
 	idx, err := LoadFile(path, fullDS)
-	if err == nil && equalInts(idx.core, coreMap) {
+	if err == nil && slices.Equal(idx.core, coreMap) {
 		return idx, false, nil
 	}
 	if err != nil && !loadFailureRebuildable(err) {
@@ -228,17 +229,4 @@ func loadOrRebuildShardedIndex(ctx context.Context, fullDS, serveDS *Dataset, co
 		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
 	}
 	return idx, true, nil
-}
-
-// equalInts reports whether two index slices are identical.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
