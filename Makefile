@@ -38,7 +38,7 @@ test-debug:
 
 # Same tests with the fault-injection harness compiled in; includes
 # the fallback_test.go suite that forces each degradation edge
-# (GeoGreedy → perturbed retry → Greedy → Cube).
+# (GeoGreedy → Greedy → Cube).
 test-fault:
 	$(GO) test -tags kregretfault ./...
 

@@ -11,8 +11,6 @@
 //	kregret -k 10 -in cars.csv -save-index i.snap   # persist the StoredList
 //	kregret -k 10 -in cars.csv -load-index i.snap   # serve from the snapshot
 //	kregret -k 10 -in cars.csv -concurrency 4       # serve through the engine
-//	kregret -k 10 -in cars.csv -concurrency 4 \
-//	    -watchdog 50ms                              # + stuck-query watchdog
 //	kregret -k 10 -in cars.csv -wal cars.wal        # durable mutable dataset
 //	kregret -k 10 -in cars.csv -wal cars.wal \
 //	    -insert 0.62,0.48 -compact                  # durable insert, then compact
@@ -30,9 +28,7 @@
 // The -save-index/-load-index/-concurrency flags route the query
 // through kregret.Engine: admission control, per-query budgets,
 // circuit breaking, and crash-safe snapshot files (a corrupt or
-// mismatched snapshot is rebuilt, not fatal). -watchdog scans
-// in-flight queries at the given interval and quarantines the breaker
-// key of any found running past its deadline. Engine counters are
+// mismatched snapshot is rebuilt, not fatal). Engine counters are
 // reported on exit.
 //
 // Input: one tuple per CSV record, numeric fields only, optional
@@ -66,7 +62,6 @@ type runConfig struct {
 	concurrency int
 	saveIndex   string
 	loadIndex   string
-	watchdog    time.Duration
 	wal         string
 	walSnap     string
 	insert      string
@@ -85,7 +80,6 @@ func main() {
 	flag.IntVar(&cfg.concurrency, "concurrency", 0, "serve through the engine with this many workers (0 = direct query)")
 	flag.StringVar(&cfg.saveIndex, "save-index", "", "build the StoredList index and save it to this file (atomic write)")
 	flag.StringVar(&cfg.loadIndex, "load-index", "", "serve from this index snapshot (rebuilt if missing or corrupt)")
-	flag.DurationVar(&cfg.watchdog, "watchdog", 0, "engine mode: scan interval for stuck in-flight queries (0 = no watchdog)")
 	flag.StringVar(&cfg.wal, "wal", "", "write-ahead log path: makes the dataset durably mutable (recovered from <wal>+snapshot when they exist)")
 	flag.StringVar(&cfg.walSnap, "wal-snap", "", "base snapshot path for -wal (default <wal>.snap)")
 	flag.StringVar(&cfg.insert, "insert", "", "durably insert this point (comma-separated normalized coordinates; requires -wal)")
@@ -283,9 +277,6 @@ func runEngine(ctx context.Context, cfg runConfig, ds *kregret.Dataset, opts []k
 	if snapshot != "" {
 		engOpts = append(engOpts, kregret.WithSnapshot(snapshot))
 	}
-	if cfg.watchdog > 0 {
-		engOpts = append(engOpts, kregret.WithWatchdog(cfg.watchdog))
-	}
 	eng, err := kregret.NewEngine(ds, engOpts...)
 	if err != nil {
 		return nil, err
@@ -309,9 +300,6 @@ func printEngineStats(s kregret.EngineStats) {
 	fmt.Printf("engine: admitted=%d completed=%d shed=%d (overload=%d, deadline=%d) canceled=%d degraded=%d breaker-short-circuits=%d\n",
 		s.Admitted, s.Completed, s.ShedOverload+s.ShedDeadline, s.ShedOverload, s.ShedDeadline,
 		s.Canceled, s.Degraded, s.BreakerShortCircuits)
-	if s.WatchdogStuck > 0 {
-		fmt.Printf("engine: watchdog-stuck=%d\n", s.WatchdogStuck)
-	}
 	if s.DrainDuration > 0 {
 		fmt.Printf("engine: drain took %v\n", s.DrainDuration)
 	}

@@ -40,7 +40,6 @@ type engineOptions struct {
 	breakerCooldown     time.Duration
 	snapshotPath        string
 	queryOpts           []Option
-	watchdogInterval    time.Duration
 	rebuildEvery        int
 	sharded             bool
 	shards              int
@@ -74,8 +73,13 @@ func WithParallelismBudget(n int) EngineOption {
 // WithQueryTimeout caps the wall-clock budget of every query (default
 // none). The effective budget is the smaller of this cap and the
 // request's own deadline; it threads into the geometric hot loops via
-// the context-aware core entry points, so one pathological instance
-// cannot monopolize a worker past its budget.
+// the context-aware core entry points, which stop within one scan
+// batch once it ends. One stage does not check it: the first query on
+// a cold epoch computes the skyline and happy-point caches inside a
+// sync.Once without the context, because a canceled build would
+// poison the cache for every later reader. That query can overrun the
+// budget by the cost of the cache build, which grows with n; later
+// queries on the same epoch reuse the caches.
 func WithQueryTimeout(d time.Duration) EngineOption {
 	return func(o *engineOptions) { o.maxQueryTime = d }
 }
@@ -120,19 +124,6 @@ func WithRebuildThreshold(n int) EngineOption {
 	return func(o *engineOptions) { o.rebuildEvery = n }
 }
 
-// WithWatchdog starts a background scanner that every interval checks
-// the in-flight queries for work running past its deadline by more
-// than one interval — evidence that a solver is stuck in a loop the
-// cancellation checks cannot reach. Each stuck query is counted in
-// Stats().WatchdogStuck and its breaker key (algorithm/dim bucket) is
-// quarantined: the breaker trips open immediately, so follow-up
-// traffic for the pathological regime short-circuits to Cube instead
-// of piling onto stuck workers. The watchdog goroutine is joined by
-// Shutdown. Default: disabled.
-func WithWatchdog(interval time.Duration) EngineOption {
-	return func(o *engineOptions) { o.watchdogInterval = interval }
-}
-
 // EngineStats is a point-in-time snapshot of the serving counters.
 type EngineStats struct {
 	// Admission counters, from the worker pool: Admitted entered the
@@ -156,12 +147,9 @@ type EngineStats struct {
 	Breakers             map[string]string
 	// Self-healing counters. ShedAtDequeue is the subset of
 	// ShedDeadline dropped after admission (see serve.Stats);
-	// WatchdogStuck counts in-flight queries the watchdog found running
-	// past their deadline (each quarantines its breaker key).
 	// DrainDuration is how long the shutdown drain took, zero until it
 	// has completed.
 	ShedAtDequeue uint64
-	WatchdogStuck uint64
 	DrainDuration time.Duration
 	// SnapshotRebuilt reports that startup found the snapshot file
 	// missing, corrupt, outdated or mismatched and rebuilt the index.
@@ -217,7 +205,6 @@ type Engine struct {
 
 	degraded        atomic.Uint64
 	breakerShorts   atomic.Uint64
-	watchdogStuck   atomic.Uint64
 	applied         atomic.Uint64
 	rebuilds        atomic.Uint64
 	shardFallbacks  atomic.Uint64
@@ -228,18 +215,6 @@ type Engine struct {
 	// pending counts applied-but-not-yet-folded mutations.
 	muApply sync.Mutex
 	pending int
-
-	// Watchdog lifecycle: nil channels when disabled. Shutdown closes
-	// watchdogStop (once) and joins watchdogDone.
-	watchdogStop chan struct{}
-	watchdogDone chan struct{}
-	watchdogOnce sync.Once
-
-	// muInflight guards the in-flight query registry the watchdog
-	// scans.
-	muInflight sync.Mutex
-	inflight   map[uint64]*inflightEntry
-	inflightID uint64
 }
 
 // engineEpoch is one immutable generation of serving state: a
@@ -263,15 +238,6 @@ type engineEpoch struct {
 	coresetBuild time.Duration
 }
 
-// inflightEntry is one running query as the watchdog sees it: the
-// breaker key it would quarantine and the deadline it must respect
-// (zero when the request is unbounded — such work is never "stuck").
-type inflightEntry struct {
-	key      string
-	deadline time.Time
-	flagged  bool
-}
-
 // NewEngine builds a serving engine over ds. With WithSnapshot it
 // also loads (or rebuilds) the StoredList index and serves default
 // queries from it in O(k).
@@ -283,10 +249,7 @@ func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 // context: the sharded partition–merge build and the snapshot index
 // load/rebuild can be expensive at scale, and cancellation stops them
 // at the same granularity as queries. The context bounds construction
-// only — the engine itself (and its watchdog goroutine, which Shutdown
-// stops and joins) lives until Shutdown, not until ctx ends.
-//
-//kregret:allow ctxflow: the watchdog goroutine is engine-lifetime, stopped and joined by Shutdown, not request-scoped
+// only — the engine itself lives until Shutdown, not until ctx ends.
 func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if ds == nil {
 		return nil, errors.New("kregret: engine needs a dataset")
@@ -327,14 +290,6 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 	e.epoch.Store(ep)
 	e.pool = serve.NewPool(serve.Config{Workers: o.workers, QueueDepth: o.queueDepth})
 	e.perQueryWorkers = derivePerQueryWorkers(o.parallelismBudget, e.pool.Stats().Workers)
-	if o.watchdogInterval > 0 {
-		e.muInflight.Lock()
-		e.inflight = map[uint64]*inflightEntry{}
-		e.muInflight.Unlock()
-		e.watchdogStop = make(chan struct{})
-		e.watchdogDone = make(chan struct{})
-		go e.watchdog(o.watchdogInterval)
-	}
 	return e, nil
 }
 
@@ -426,9 +381,9 @@ func (e *Engine) Query(ctx context.Context, k int, opts ...Option) (*Answer, err
 // It loads the serving epoch exactly once, up front: every read below
 // — index, breaker key, solver — comes from that one generation, so an
 // epoch swap mid-query cannot hand it a mixed view. A numerical
-// failure is rescued only by the in-query fallback chain (perturbed
-// retry, Greedy, Cube); the solvers are deterministic, so re-running
-// the same query on the same epoch would fail the same way.
+// failure is rescued only by the in-query fallback chain (Greedy, then
+// Cube); the solvers are deterministic, so re-running the same query
+// on the same epoch would fail the same way.
 func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, error) {
 	if e.opts.maxQueryTime > 0 {
 		var cancel context.CancelFunc
@@ -441,11 +396,6 @@ func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, erro
 	}
 
 	ep := e.epoch.Load()
-	if e.watchdogDone != nil {
-		deadline, _ := ctx.Deadline() // zero when unbounded: never stuck
-		id := e.registerInflight(breakerKey(o.algorithm, ep.ds.Dim()), deadline)
-		defer e.unregisterInflight(id)
-	}
 
 	// Default-config queries on a snapshot-backed engine are served
 	// from the materialized list in O(k) — no breaker needed, the
@@ -561,87 +511,24 @@ func (e *Engine) Stats() EngineStats {
 		BreakerShortCircuits: e.breakerShorts.Load(),
 		Breakers:             breakers,
 		ShedAtDequeue:        ps.ShedAtDequeue,
-		WatchdogStuck:        e.watchdogStuck.Load(),
 		DrainDuration:        ps.DrainDuration,
 		SnapshotRebuilt:      e.snapshotRebuilt,
 	}
-}
-
-// watchdog periodically scans the in-flight registry for stuck work.
-// It runs for the engine's lifetime and is joined by Shutdown.
-func (e *Engine) watchdog(interval time.Duration) {
-	defer close(e.watchdogDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.watchdogStop:
-			return
-		case now := <-t.C:
-			e.scanInflight(now, interval)
-		}
-	}
-}
-
-// scanInflight flags every in-flight query running more than grace
-// past its deadline — once per query — and quarantines its breaker
-// key so follow-up traffic for the same regime short-circuits instead
-// of piling onto a stuck solver.
-func (e *Engine) scanInflight(now time.Time, grace time.Duration) {
-	var stuck []string
-	e.muInflight.Lock()
-	for _, entry := range e.inflight {
-		if entry.flagged || entry.deadline.IsZero() || now.Sub(entry.deadline) <= grace {
-			continue
-		}
-		entry.flagged = true
-		stuck = append(stuck, entry.key)
-	}
-	e.muInflight.Unlock()
-	for _, key := range stuck {
-		e.watchdogStuck.Add(1)
-		e.breakers.For(key).Trip()
-	}
-}
-
-// registerInflight records a starting attempt for the watchdog.
-func (e *Engine) registerInflight(key string, deadline time.Time) uint64 {
-	e.muInflight.Lock()
-	defer e.muInflight.Unlock()
-	e.inflightID++
-	id := e.inflightID
-	e.inflight[id] = &inflightEntry{key: key, deadline: deadline}
-	return id
-}
-
-// unregisterInflight removes a finished attempt from the registry.
-func (e *Engine) unregisterInflight(id uint64) {
-	e.muInflight.Lock()
-	defer e.muInflight.Unlock()
-	delete(e.inflight, id)
 }
 
 // Shutdown stops admissions (new queries return ErrShuttingDown),
 // drains the queued and in-flight queries, and returns once the
 // engine is idle — or ctx.Err() if ctx ends first, in which case the
 // drain continues in the background and Shutdown may be called again.
-// Once the drain completes the watchdog goroutine is stopped and
-// joined, so a fully shut-down engine leaves no goroutine behind.
-// Safe to call multiple times; a post-shutdown Query never blocks.
+// A fully shut-down engine leaves no goroutine behind. Safe to call
+// multiple times; a post-shutdown Query never blocks.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	// Stop accepting mutations before the query drain: an Apply
 	// admitted after this point could swap an epoch no query will
 	// ever see. One already inside Apply finishes its fold — the
 	// drain below does not race it, epoch swaps are atomic.
 	e.stopping.Store(true)
-	if err := e.pool.Shutdown(ctx); err != nil {
-		return err
-	}
-	if e.watchdogDone != nil {
-		e.watchdogOnce.Do(func() { close(e.watchdogStop) })
-		<-e.watchdogDone
-	}
-	return nil
+	return e.pool.Shutdown(ctx)
 }
 
 // Index returns the current epoch's snapshot-backed index, or nil

@@ -243,7 +243,7 @@ func TestEngineApplyPartialFailureFolds(t *testing.T) {
 func TestEngineShutdownRacingApply(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ds := mutGrid(t)
-	eng, err := NewEngine(ds, WithWorkers(4), WithQueueDepth(8), WithWatchdog(5*time.Millisecond))
+	eng, err := NewEngine(ds, WithWorkers(4), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestEngineShutdownRacingApply(t *testing.T) {
 		t.Fatalf("serving epoch len=%d, want %d", got, want)
 	}
 
-	// The drain left no goroutine behind (watchdog included).
+	// The drain left no goroutine behind.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {

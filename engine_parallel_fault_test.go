@@ -61,11 +61,11 @@ func TestParallelWorkerPanicTyped(t *testing.T) {
 }
 
 // TestEngineParallelWorkerPanicDegrades: the site armed forever kills
-// every parallel solver stage — GeoGreedy, its perturbed retry, and
-// Greedy all fan out and panic — and the engine-served query lands on
-// Cube (whose arithmetic never enters a parallel region), degraded
-// but answered. The engine's parallelism budget, not a per-call
-// option, is what switches the solvers onto the fan-out path.
+// every parallel solver stage — GeoGreedy and Greedy both fan out and
+// panic — and the engine-served query lands on Cube (whose arithmetic
+// never enters a parallel region), degraded but answered. The
+// engine's parallelism budget, not a per-call option, is what switches
+// the solvers onto the fan-out path.
 func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 	armed(t)
 	ds := parallelFaultDataset(t)
@@ -93,7 +93,7 @@ func TestEngineParallelWorkerPanicDegrades(t *testing.T) {
 			t.Fatalf("reason %q does not record the %s failure", ans.FallbackReason, stage)
 		}
 	}
-	if fault.Fired(fault.SiteParallelWorker) < 3 {
+	if fault.Fired(fault.SiteParallelWorker) < 2 {
 		t.Fatalf("site fired only %d times; chain skipped parallel stages",
 			fault.Fired(fault.SiteParallelWorker))
 	}

@@ -132,7 +132,7 @@ func TestEngineQueryTimeoutBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(ds, WithWorkers(1), WithQueryTimeout(50*time.Millisecond),
+	eng, err := NewEngine(ds, WithWorkers(1), WithQueryTimeout(500*time.Millisecond),
 		WithQueryDefaults(WithCandidates(CandidatesAll)))
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +149,25 @@ func TestEngineQueryTimeoutBudget(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("budget took %v to bite", elapsed)
+	}
+	// A deadline says nothing about the solver's numerical health: it
+	// must leave every breaker closed, so the next query that fits the
+	// budget runs the requested solver, undegraded.
+	breakers := eng.Stats().Breakers
+	if _, ok := breakers[breakerKey(AlgoGeoGreedy, 7)]; !ok {
+		t.Fatalf("query did not pass its breaker: %v", breakers)
+	}
+	for key, state := range breakers {
+		if state != "closed" {
+			t.Fatalf("deadline error moved breaker %s to %q", key, state)
+		}
+	}
+	ans, err := eng.Query(context.Background(), 2)
+	if err != nil {
+		t.Fatalf("follow-up query within the budget: %v", err)
+	}
+	if ans.Degraded || ans.Algorithm != AlgoGeoGreedy {
+		t.Fatalf("follow-up query degraded after a deadline error: %+v", ans)
 	}
 }
 
@@ -278,7 +297,7 @@ func TestEngineStatsShape(t *testing.T) {
 	if state := s.Breakers[breakerKey(AlgoGeoGreedy, 3)]; state != "closed" {
 		t.Fatalf("breaker state %q, want closed (%v)", state, s.Breakers)
 	}
-	if s.WatchdogStuck != 0 || s.ShedAtDequeue != 0 {
+	if s.ShedAtDequeue != 0 {
 		t.Fatalf("self-healing counters nonzero after one healthy query: %+v", s)
 	}
 }
@@ -288,7 +307,7 @@ func TestEngineStatsShape(t *testing.T) {
 // across it, and a post-shutdown Query returns ErrShuttingDown
 // wrapped in a *serve.OverloadError carrying the pool pressure.
 func TestEngineShutdownIdempotent(t *testing.T) {
-	eng, _ := testEngine(t, WithWorkers(2), WithWatchdog(2*time.Millisecond))
+	eng, _ := testEngine(t, WithWorkers(2))
 	if _, err := eng.Query(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +344,13 @@ func TestEngineShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestEngineWatchdogShutdownNoLeak proves the watchdog goroutine is
-// joined by Shutdown: after a full drain the process goroutine count
-// returns to its pre-engine baseline.
-func TestEngineWatchdogShutdownNoLeak(t *testing.T) {
+// TestEngineShutdownNoLeak proves Shutdown joins every engine
+// goroutine — the pool workers and the drain recorder: after a full
+// drain the process goroutine count returns to its pre-engine
+// baseline.
+func TestEngineShutdownNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	eng, _ := testEngine(t, WithWorkers(2), WithWatchdog(time.Millisecond))
+	eng, _ := testEngine(t, WithWorkers(2))
 	if _, err := eng.Query(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}

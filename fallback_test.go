@@ -3,8 +3,8 @@
 // Fault-injection tests for the degradation chain. They compile only
 // with the kregretfault build tag (`make test-fault`), arming named
 // injection sites inside the geometry core and proving each fallback
-// edge — GeoGreedy → perturbed retry → Greedy → Cube — end to end
-// through the public API.
+// edge — GeoGreedy → Greedy → Cube — end to end through the public
+// API.
 package kregret
 
 import (
@@ -38,36 +38,36 @@ func armed(t *testing.T) {
 	t.Cleanup(fault.Reset)
 }
 
-// Edge 1: a single NaN critical ratio fails the first GeoGreedy run;
-// the deterministic epsilon-perturbed retry succeeds.
-func TestFallbackPerturbedRetry(t *testing.T) {
+// Edge 1: a single dual-description degeneracy fails GeoGreedy once.
+// The solvers are deterministic, so the chain never re-runs the failed
+// one: even though a second GeoGreedy run would find the site disarmed,
+// the LP-based Greedy answers, and the reason names the GeoGreedy
+// failure.
+func TestFallbackOneShotFaultNotRetried(t *testing.T) {
 	armed(t)
 	ds := faultDataset(t)
-	fault.Arm(fault.SiteGeoGreedySupport, 1)
+	fault.Arm(fault.SiteDDAddHalfspace, 1)
 	ans, err := ds.Query(5, WithCandidates(CandidatesAll))
 	if err != nil {
-		t.Fatalf("perturbed retry did not recover: %v", err)
+		t.Fatalf("Greedy fallback did not recover: %v", err)
 	}
-	if !ans.Degraded {
-		t.Fatalf("answer not marked degraded: %+v", ans)
+	if !ans.Degraded || ans.Algorithm != AlgoGreedy {
+		t.Fatalf("want degraded Greedy answer, got %+v", ans)
 	}
-	if ans.Algorithm != AlgoGeoGreedy {
-		t.Fatalf("retry should stay on GeoGreedy, got %v", ans.Algorithm)
+	if !strings.Contains(ans.FallbackReason, "GeoGreedy: ") ||
+		!strings.Contains(ans.FallbackReason, dd.ErrEmpty.Error()) {
+		t.Fatalf("reason does not name the GeoGreedy failure: %q", ans.FallbackReason)
 	}
-	if !strings.Contains(ans.FallbackReason, "perturbation") {
-		t.Fatalf("reason does not mention the perturbed retry: %q", ans.FallbackReason)
-	}
-	if got := fault.Fired(fault.SiteGeoGreedySupport); got != 1 {
-		t.Fatalf("NaN site fired %d times, want 1", got)
+	if got := fault.Fired(fault.SiteDDAddHalfspace); got != 1 {
+		t.Fatalf("dd site fired %d times, want 1", got)
 	}
 	if ans.MRR < 0 || ans.MRR > 1 {
 		t.Fatalf("degraded answer has MRR %v", ans.MRR)
 	}
 }
 
-// Edge 2: persistent dual-description degeneracy fails GeoGreedy and
-// its perturbed retry; the LP-based Greedy (which never touches the
-// dd machinery) answers.
+// Edge 2: persistent dual-description degeneracy fails GeoGreedy; the
+// LP-based Greedy (which never touches the dd machinery) answers.
 func TestFallbackToGreedy(t *testing.T) {
 	armed(t)
 	ds := faultDataset(t)
@@ -82,8 +82,8 @@ func TestFallbackToGreedy(t *testing.T) {
 	if !strings.Contains(ans.FallbackReason, "Greedy") {
 		t.Fatalf("reason does not name the fallback solver: %q", ans.FallbackReason)
 	}
-	if fault.Fired(fault.SiteDDAddHalfspace) < 2 {
-		t.Fatalf("dd site fired only %d times; perturbed retry was skipped", fault.Fired(fault.SiteDDAddHalfspace))
+	if got := fault.Fired(fault.SiteDDAddHalfspace); got != 1 {
+		t.Fatalf("dd site fired %d times, want 1: GeoGreedy runs once and Greedy never enters dd", got)
 	}
 }
 
@@ -102,9 +102,8 @@ func TestFallbackToCube(t *testing.T) {
 	}
 }
 
-// The acceptance path: GeoGreedy fails (NaN, both attempts), Greedy
-// fails (LP iteration cap), Cube answers. One query walks the entire
-// chain.
+// The acceptance path: GeoGreedy fails (NaN), Greedy fails (LP
+// iteration cap), Cube answers. One query walks the entire chain.
 func TestFullChainGeoGreedyToCube(t *testing.T) {
 	armed(t)
 	ds := faultDataset(t)
@@ -122,7 +121,7 @@ func TestFullChainGeoGreedyToCube(t *testing.T) {
 			t.Fatalf("reason %q does not record the %s failure", ans.FallbackReason, stage)
 		}
 	}
-	if fault.Fired(fault.SiteGeoGreedySupport) < 2 || fault.Fired(fault.SiteLPIterationCap) < 1 {
+	if fault.Fired(fault.SiteGeoGreedySupport) < 1 || fault.Fired(fault.SiteLPIterationCap) < 1 {
 		t.Fatalf("chain skipped stages: geogreedy=%d lp=%d",
 			fault.Fired(fault.SiteGeoGreedySupport), fault.Fired(fault.SiteLPIterationCap))
 	}
@@ -159,9 +158,9 @@ func TestChainExhausted(t *testing.T) {
 func TestWithoutFallbackSurfacesError(t *testing.T) {
 	armed(t)
 	ds := faultDataset(t)
-	// One shot: were the fallback chain to run despite the option, the
-	// perturbed retry would find the site disarmed and succeed — so an
-	// error here proves the chain never started.
+	// One shot: were the fallback chain to run despite the option,
+	// Greedy (which never reads GeoGreedy's support cache) would
+	// answer — so an error here proves the chain never started.
 	fault.Arm(fault.SiteGeoGreedySupport, 1)
 	ans, err := ds.Query(5, WithCandidates(CandidatesAll), WithoutFallback())
 	if ans != nil || err == nil {
@@ -200,8 +199,8 @@ func TestPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chain did not recover from a single panic: %v", err)
 	}
-	if !ans.Degraded || ans.Algorithm != AlgoGeoGreedy {
-		t.Fatalf("want degraded perturbed-retry answer, got %+v", ans)
+	if !ans.Degraded || ans.Algorithm != AlgoGreedy {
+		t.Fatalf("want degraded Greedy answer, got %+v", ans)
 	}
 }
 

@@ -62,8 +62,8 @@ const (
 	// a second breaker key so per-key isolation is visible.
 	ClassSkewed
 	// ClassShortDeadline runs the live solver under a deadline of a
-	// few milliseconds — the shed-at-dequeue, mid-solve cancellation
-	// and watchdog paths.
+	// few milliseconds — the shed-at-dequeue and mid-solve
+	// cancellation paths.
 	ClassShortDeadline
 	// ClassPreCanceled arrives already canceled and must be shed at
 	// admission without touching a solver.

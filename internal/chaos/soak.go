@@ -43,12 +43,12 @@ type Report struct {
 	OK       uint64 // non-degraded answers, byte-checked against control
 	Degraded uint64
 	// Degraded split by the stage that answered: the fallback chain's
-	// perturbed retry, Greedy or Cube, or Cube from an open breaker.
-	Perturbed, Greedy, ChainCube, BreakerCube uint64
-	Shed                                      uint64 // ErrShed + ErrOverloaded + ErrShuttingDown
-	Canceled                                  uint64 // context errors surfaced to the client
-	Numerical                                 uint64 // fallback-disabled numerical failures
-	Mutations                                 uint64 // durable inserts applied through Engine.Apply
+	// Greedy or Cube, or Cube from an open breaker.
+	Greedy, ChainCube, BreakerCube uint64
+	Shed                           uint64 // ErrShed + ErrOverloaded + ErrShuttingDown
+	Canceled                       uint64 // context errors surfaced to the client
+	Numerical                      uint64 // fallback-disabled numerical failures
+	Mutations                      uint64 // durable inserts applied through Engine.Apply
 	// MutationsFailed counts Apply errors other than shutdown — an
 	// injected WAL fsync or compaction failure. Each is individually
 	// harmless (the mutation was cleanly rejected or applied with its
@@ -60,22 +60,24 @@ type Report struct {
 // outcome counters shared by the soak clients.
 type tally struct {
 	issued, ok, degraded, shed, canceled, numerical atomic.Uint64
-	perturbed, greedy, chainCube, breakerCube       atomic.Uint64
+	greedy, chainCube, breakerCube                  atomic.Uint64
 	mutations, mutationsFailed                      atomic.Uint64
 }
 
-// rescueCounter picks the counter for a degraded answer by the stage
-// that produced it. requested is the algorithm the query asked for.
-func (tl *tally) rescueCounter(requested kregret.Algorithm, ans *kregret.Answer) *atomic.Uint64 {
+// countRescue counts a degraded answer by the stage that produced it.
+// requested is the algorithm the query asked for. No stage answers
+// with the requested solver — the chain never re-runs a failed one —
+// so such an answer is recorded as a violation.
+func (tl *tally) countRescue(requested kregret.Algorithm, ans *kregret.Answer, v *violations) {
 	switch {
 	case strings.HasPrefix(ans.FallbackReason, "circuit breaker open"):
-		return &tl.breakerCube
+		tl.breakerCube.Add(1)
 	case ans.Algorithm == requested:
-		return &tl.perturbed
+		v.addf("degraded answer served by the requested solver %v: %s", requested, ans.FallbackReason)
 	case ans.Algorithm == kregret.AlgoGreedy:
-		return &tl.greedy
+		tl.greedy.Add(1)
 	default:
-		return &tl.chainCube
+		tl.chainCube.Add(1)
 	}
 }
 
@@ -215,7 +217,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		kregret.WithWorkers(4),
 		kregret.WithQueueDepth(8),
 		kregret.WithBreaker(3, 40*time.Millisecond),
-		kregret.WithWatchdog(5*time.Millisecond),
 		kregret.WithQueryTimeout(250*time.Millisecond),
 		kregret.WithSnapshot(snap),
 		// Folds every other mutation: both the pending-mutation state
@@ -368,8 +369,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		v.addf("invariant 1: gauges non-zero after drain: queued=%d inflight=%d", stats.Queued, stats.InFlight)
 	}
 
-	// Invariant 4: every engine goroutine (workers, watchdog, drain
-	// recorder) is gone. The runtime count is noisy, so poll briefly.
+	// Invariant 4: every engine goroutine (workers, drain recorder) is
+	// gone. The runtime count is noisy, so poll briefly.
 	leakCtx, cancelLeak := context.WithTimeout(ctx, 5*time.Second)
 	defer cancelLeak()
 	for runtime.NumGoroutine() > baseline {
@@ -384,7 +385,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Issued:          tl.issued.Load(),
 		OK:              tl.ok.Load(),
 		Degraded:        tl.degraded.Load(),
-		Perturbed:       tl.perturbed.Load(),
 		Greedy:          tl.greedy.Load(),
 		ChainCube:       tl.chainCube.Load(),
 		BreakerCube:     tl.breakerCube.Load(),
@@ -442,7 +442,7 @@ func issueOne(ctx context.Context, eng *kregret.Engine, req Request, want *kregr
 		tl.degraded.Add(1)
 		// The control answer was not degraded, so its algorithm is the
 		// one the query asked for.
-		tl.rescueCounter(want.Algorithm, ans).Add(1)
+		tl.countRescue(want.Algorithm, ans, v)
 		// Degraded answers may differ from control but must still be
 		// well-formed: a k-selection with a sane regret ratio.
 		if len(ans.Indices) == 0 || len(ans.Indices) > req.K {

@@ -39,10 +39,10 @@ func TestChaosSoak(t *testing.T) {
 			if rep.Issued == 0 || rep.OK == 0 {
 				t.Fatalf("soak issued %d requests with %d clean answers — the storm starved the load", rep.Issued, rep.OK)
 			}
-			t.Logf("seed %d: issued=%d ok=%d degraded=%d (perturbed=%d greedy=%d cube=%d breaker-cube=%d) shed=%d canceled=%d numerical=%d mutations=%d mutfail=%d watchdog=%d epoch=%d drain=%v",
-				seed, rep.Issued, rep.OK, rep.Degraded, rep.Perturbed, rep.Greedy, rep.ChainCube, rep.BreakerCube,
+			t.Logf("seed %d: issued=%d ok=%d degraded=%d (greedy=%d cube=%d breaker-cube=%d) shed=%d canceled=%d numerical=%d mutations=%d mutfail=%d epoch=%d drain=%v",
+				seed, rep.Issued, rep.OK, rep.Degraded, rep.Greedy, rep.ChainCube, rep.BreakerCube,
 				rep.Shed, rep.Canceled, rep.Numerical, rep.Mutations, rep.MutationsFailed,
-				rep.Stats.WatchdogStuck, rep.Stats.Epoch, rep.Stats.DrainDuration)
+				rep.Stats.Epoch, rep.Stats.DrainDuration)
 		})
 	}
 }

@@ -46,9 +46,8 @@ var ErrDegenerate = errors.New("core: numerical degeneracy")
 // IsNumerical reports whether err is a numerical failure of the
 // solvers — GeoGreedy degeneracy, a dd polytope collapsing to empty,
 // or the simplex iteration cap — rather than invalid input or
-// cancellation. These are exactly the failures for which retrying
-// with perturbed data or a more robust (if slower or weaker)
-// algorithm can still produce an answer.
+// cancellation. These are exactly the failures for which a more
+// robust (if slower or weaker) algorithm can still produce an answer.
 func IsNumerical(err error) bool {
 	if err == nil {
 		return false

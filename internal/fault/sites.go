@@ -15,7 +15,7 @@
 // misbehave in a controlled way: a support value becomes NaN, the
 // simplex solver reports its iteration cap, the double-description
 // step reports degeneracy, or a pivot batch stalls. This is how the
-// degradation chain (GeoGreedy → perturbed retry → Greedy → Cube) and
+// degradation chain (GeoGreedy → Greedy → Cube) and
 // every cancellation point are proven to fire without hunting for a
 // naturally pathological input.
 //

@@ -152,18 +152,6 @@ func (b *Breaker) Record(success bool) {
 	}
 }
 
-// Trip forces the breaker open now, as if a failure storm had just
-// crossed the threshold: requests short-circuit for a full cooldown
-// before half-open probing resumes. The engine's stuck-query watchdog
-// uses it to quarantine a key whose in-flight work has run past its
-// deadline — evidence of pathology that must not wait for Record
-// calls that may never come.
-func (b *Breaker) Trip() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tripLocked(b.cfg.Now())
-}
-
 // State returns the current state (resolving an elapsed open cooldown
 // to half-open, so observers see what the next Allow would).
 func (b *Breaker) State() BreakerState {

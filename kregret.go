@@ -31,11 +31,10 @@
 // pathological hulls within one scan batch. Residual panics in the
 // geometry core are converted into a typed *NumericalError instead of
 // killing the process, and when GeoGreedy's hull machinery fails
-// numerically the query degrades gracefully — a deterministic
-// epsilon-perturbed retry, then the LP Greedy baseline, then Cube —
-// with the degradation recorded in Answer.Degraded and
-// Answer.FallbackReason (opt out with WithoutFallback). See
-// DESIGN.md §9 for the full failure model.
+// numerically the query degrades gracefully — to the LP Greedy
+// baseline, then Cube — with the degradation recorded in
+// Answer.Degraded and Answer.FallbackReason (opt out with
+// WithoutFallback). See DESIGN.md §9 for the full failure model.
 //
 // # Serving
 //
@@ -258,11 +257,11 @@ func WithCoreset(eps float64) Option { return func(o *options) { o.coresetEps = 
 
 // WithoutFallback disables the degradation chain: a numerical failure
 // of the configured algorithm surfaces as a *NumericalError instead
-// of being retried with perturbed candidates and weaker algorithms.
-// Use it when a degraded answer is worse than no answer (e.g. when
-// measuring the algorithms themselves). On an Engine such a query
-// also bypasses the circuit breaker: it never gets a Cube substitute,
-// and its failures do not count toward tripping the breaker.
+// of being answered by a weaker algorithm. Use it when a degraded
+// answer is worse than no answer (e.g. when measuring the algorithms
+// themselves). On an Engine such a query also bypasses the circuit
+// breaker: it never gets a Cube substitute, and its failures do not
+// count toward tripping the breaker.
 func WithoutFallback() Option { return func(o *options) { o.fallback = false } }
 
 // Dataset is a collection of tuples prepared for k-regret queries.
@@ -602,9 +601,9 @@ type Answer struct {
 	Algorithm  Algorithm
 	Candidates CandidateSet
 	// Degraded reports that the requested solver failed numerically
-	// and the answer came from the degradation chain (perturbed
-	// retry, then Greedy, then Cube). FallbackReason says which stage
-	// answered and why the earlier stages failed.
+	// and the answer came from the degradation chain (Greedy, then
+	// Cube). FallbackReason says which solver answered and why the
+	// earlier ones failed.
 	Degraded       bool
 	FallbackReason string
 }
@@ -695,9 +694,9 @@ type degradation struct {
 
 // solveWithFallback runs the configured solver behind the panic
 // boundary and, when it fails numerically and fallback is enabled,
-// walks the degradation chain: one deterministic epsilon-perturbed
-// retry of the same solver, then each strictly more robust (and
+// walks the degradation chain: each strictly more robust (and
 // strictly weaker or slower) algorithm below it — Greedy, then Cube.
+// The solvers are deterministic, so the failed one is never re-run.
 // Cancellation and invalid-input errors are never retried.
 func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k int) (*core.Result, degradation, error) {
 	res, err := runSolver(ctx, o.algorithm, candPts, k, o.candidates, o.workers)
@@ -709,27 +708,12 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 	}
 	failures := []error{fmt.Errorf("%v: %w", o.algorithm, err)}
 
-	// Stage 1: same solver over deterministically perturbed
-	// candidates — a ~1e-9 relative nudge resolves exact-degeneracy
-	// ties (coplanar points, duplicate coordinates) without moving
-	// any regret ratio beyond float noise.
-	if res, err2 := runSolver(ctx, o.algorithm, perturbed(candPts), k, o.candidates, o.workers); err2 == nil {
-		return res, degradation{
-			algorithm: o.algorithm,
-			degraded:  true,
-			reason:    fmt.Sprintf("%v retried with epsilon perturbation after: %v", o.algorithm, err),
-		}, nil
-	} else if !retriable(err2) {
-		return nil, degradation{}, err2
-	} else {
-		failures = append(failures, fmt.Errorf("%v (perturbed): %w", o.algorithm, err2))
-	}
-
-	// Stage 2: progressively cheaper/more robust algorithms. The
-	// chain preserves answer semantics (same candidate set, same k)
-	// at decreasing answer quality: Greedy reaches the same selection
-	// through LPs with no incremental hull state; Cube is non-
-	// adaptive arithmetic that cannot fail numerically.
+	// The chain preserves answer semantics (same candidate set, same
+	// k) at decreasing answer quality: Greedy reaches the same
+	// selection through LPs with no incremental hull state; Cube's
+	// selection is non-adaptive arithmetic that cannot fail, but its
+	// regret is evaluated through the dual hull, which can. A query
+	// that exhausts the chain surfaces a *NumericalError.
 	for _, alg := range fallbackChain(o.algorithm) {
 		res, err2 := runSolver(ctx, alg, candPts, k, o.candidates, o.workers)
 		if err2 == nil {
@@ -754,7 +738,8 @@ func solveWithFallback(ctx context.Context, o *options, candPts []geom.Vector, k
 	}
 }
 
-// fallbackChain lists the algorithms tried after alg fails, in order.
+// fallbackChain lists the algorithms tried after alg fails, in order:
+// Greedy then Cube for GeoGreedy, Cube for Greedy, nothing for Cube.
 func fallbackChain(alg Algorithm) []Algorithm {
 	switch alg {
 	case AlgoGeoGreedy:
@@ -810,26 +795,6 @@ func runSolver(ctx context.Context, alg Algorithm, candPts []geom.Vector, k int,
 		return nil, fmt.Errorf("kregret: %w", err)
 	}
 	return res, nil
-}
-
-// perturbed returns a copy of pts with every coordinate scaled by
-// 1 + ε·h(i,j), where h is a fixed integer hash mapped into [−1, 1]
-// and ε = 1e-9. The perturbation is deterministic (the perturbed
-// stage is reproducible), preserves strict positivity and finiteness, and is
-// far below every tolerance used by the solvers — it exists only to
-// break exact ties that trip degenerate code paths.
-func perturbed(pts []geom.Vector) []geom.Vector {
-	const eps = 1e-9
-	out := make([]geom.Vector, len(pts))
-	for i, p := range pts {
-		q := make(geom.Vector, len(p))
-		for j, x := range p {
-			h := float64((i*2654435761+j*40503)%2047-1023) / 1023
-			q[j] = x * (1 + eps*h)
-		}
-		out[i] = q
-	}
-	return out
 }
 
 // protect runs fn inside the panic boundary, converting a panic in

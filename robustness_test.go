@@ -212,35 +212,6 @@ func TestRetriableClassification(t *testing.T) {
 	}
 }
 
-// The degradation retry must be reproducible and must not move any
-// point by more than float noise.
-func TestPerturbedDeterministicAndTiny(t *testing.T) {
-	ds, err := NewDataset(testPoints(100, 4, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := ds.snap().pts
-	a, b := perturbed(pts), perturbed(pts)
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("perturbation not deterministic at [%d][%d]", i, j)
-			}
-			if a[i][j] <= 0 {
-				t.Fatalf("perturbation lost positivity at [%d][%d]: %v", i, j, a[i][j])
-			}
-			rel := math.Abs(a[i][j]-pts[i][j]) / pts[i][j]
-			if rel > 2e-9 {
-				t.Fatalf("perturbation too large at [%d][%d]: rel=%v", i, j, rel)
-			}
-		}
-	}
-	// Originals untouched.
-	if &a[0][0] == &pts[0][0] {
-		t.Fatal("perturbed aliases the input")
-	}
-}
-
 // A normal QueryContext must behave exactly like Query, including the
 // degradation metadata staying zero.
 func TestQueryContextMatchesQuery(t *testing.T) {
@@ -269,7 +240,7 @@ func TestQueryContextMatchesQuery(t *testing.T) {
 
 // Engine lifecycle: Shutdown drains in-flight queries, rejects new
 // ones with ErrShuttingDown, and a post-shutdown Query returns
-// immediately — it must never deadlock (guarded by a watchdog).
+// immediately — it must never deadlock (guarded by a 5s timeout).
 func TestEngineShutdownLifecycle(t *testing.T) {
 	ds, err := NewDataset(spherePoints(2000, 7, 1))
 	if err != nil {
