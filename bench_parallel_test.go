@@ -199,12 +199,11 @@ func BenchmarkPaper(b *testing.B) {
 	})
 	b.Run("ShardedColdQuery", func(b *testing.B) {
 		// The partition–merge path at the same k: per-shard ε-dominance
-		// cover, survivor union, one ε-kernel build, GeoGreedy on the
-		// merged core. Ingestion and engine teardown are untimed, build
-		// and query are timed — the benchbaseline diff gates this
-		// entry's ns/op against ColdQuery's, because sharding exists to
-		// beat the global pass and a regression here is a scale-wall
-		// regression.
+		// cover, survivor union, one ε-kernel build, the StoredList
+		// build over the merged core, then one O(k) index query.
+		// Ingestion and engine teardown are untimed, build and query
+		// are timed, so the entry compares against ColdQuery's global
+		// pass: sharding exists to beat it.
 		ps := vecsToPoints(pts)
 		b.ReportAllocs()
 		b.ResetTimer()

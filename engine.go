@@ -101,6 +101,13 @@ func WithBreaker(threshold int, cooldown time.Duration) EngineOption {
 // built from a different dataset (ErrIndexMismatch) it rebuilds the
 // StoredList from scratch and atomically rewrites the snapshot instead
 // of failing. The rebuild is recorded in Stats().SnapshotRebuilt.
+// Every fold rebuilds the index and writes it back to path.
+//
+// A sharded engine (WithShardedServing) adopts only a snapshot whose
+// persisted core equals the epoch's core. Otherwise it writes the
+// index its epoch already built in memory, or, for a core too large to
+// index eagerly, builds one and writes that; loading is what spares a
+// restart that build.
 func WithSnapshot(path string) EngineOption {
 	return func(o *engineOptions) { o.snapshotPath = path }
 }
@@ -166,7 +173,9 @@ type EngineStats struct {
 	// Sharded serving gauges (WithShardedServing), all from the
 	// current epoch: Shards is the effective shard count (0 when
 	// unsharded or fallen back), CoreSize the merged core size,
-	// CoresetBuildTime the partition–merge build cost.
+	// CoresetBuildTime the partition–merge build cost (shard covers,
+	// merge and kernel; the StoredList built over the core afterwards
+	// is not included).
 	// ShardFallbacks counts epochs whose shard build failed and served
 	// unsharded instead.
 	Shards           int
@@ -225,7 +234,11 @@ type Engine struct {
 type engineEpoch struct {
 	num uint64
 	ds  *Dataset
-	idx *Index // non-nil only with WithSnapshot
+	// idx is the StoredList that default queries are served from:
+	// set with WithSnapshot, and on a sharded epoch whose core is
+	// small enough to index eagerly and whose build succeeded. nil
+	// means those queries run live.
+	idx *Index
 
 	// Sharded serving view (WithShardedServing), nil/zero when the
 	// engine is unsharded or the shard build for this epoch fell back:
@@ -239,17 +252,19 @@ type engineEpoch struct {
 }
 
 // NewEngine builds a serving engine over ds. With WithSnapshot it
-// also loads (or rebuilds) the StoredList index and serves default
-// queries from it in O(k).
+// also loads (or rebuilds) the StoredList index, and with
+// WithShardedServing it builds one over a small ε-core; either way
+// default queries are then served from it in O(k).
 func NewEngine(ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	return NewEngineContext(context.Background(), ds, opts...)
 }
 
 // NewEngineContext is NewEngine with the startup work bounded by a
-// context: the sharded partition–merge build and the snapshot index
-// load/rebuild can be expensive at scale, and cancellation stops them
-// at the same granularity as queries. The context bounds construction
-// only — the engine itself lives until Shutdown, not until ctx ends.
+// context: the sharded partition–merge and core index builds and the
+// snapshot index load/rebuild can be expensive at scale, and
+// cancellation stops them at the same granularity as queries. The
+// context bounds construction only — the engine itself lives until
+// Shutdown, not until ctx ends.
 func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*Engine, error) {
 	if ds == nil {
 		return nil, errors.New("kregret: engine needs a dataset")
@@ -278,7 +293,7 @@ func NewEngineContext(ctx context.Context, ds *Dataset, opts ...EngineOption) (*
 			err     error
 		)
 		if ep.serveDS != nil {
-			idx, rebuilt, err = loadOrRebuildShardedIndex(ctx, ep.ds, ep.serveDS, ep.coreMap, o.snapshotPath)
+			idx, rebuilt, err = loadOrRebuildShardedIndex(ctx, ep, o.snapshotPath)
 		} else {
 			idx, rebuilt, err = loadOrRebuildIndex(ep.ds, o.snapshotPath)
 		}
@@ -347,9 +362,10 @@ func loadFailureRebuildable(err error) bool {
 
 // Query answers a k-regret query through the serving pipeline:
 // admission (shed on overload or a dead deadline), a per-query
-// wall-clock budget, then either the snapshot index (default-config
-// queries on an engine built WithSnapshot) or the full solver behind
-// its circuit breaker. While a breaker is open the query is routed
+// wall-clock budget, then either the epoch's StoredList index
+// (GeoGreedy over happy candidates, the default, on an engine built
+// WithSnapshot or WithShardedServing) or the full solver behind its
+// circuit breaker. While a breaker is open the query is routed
 // straight to the Cube fallback and the answer is marked Degraded
 // with the breaker named in FallbackReason. Queries with
 // WithoutFallback bypass the breaker and run the requested solver.
@@ -397,10 +413,11 @@ func (e *Engine) serve(ctx context.Context, k int, opts []Option) (*Answer, erro
 
 	ep := e.epoch.Load()
 
-	// Default-config queries on a snapshot-backed engine are served
-	// from the materialized list in O(k) — no breaker needed, the
-	// index cannot fail numerically. (A sharded index already answers
-	// in global indices: buildShardedIndex composed the maps.)
+	// Default-config queries on an indexed epoch (WithSnapshot, or a
+	// sharded epoch) are served from the materialized list in O(k) —
+	// no breaker needed, the index cannot fail numerically. (A sharded
+	// index already answers in global indices: buildShardedIndex
+	// composed the maps.)
 	if ep.idx != nil && o.algorithm == AlgoGeoGreedy && o.candidates == CandidatesHappy {
 		if ans, err := ep.idx.Query(k); err == nil {
 			return ans, nil
@@ -531,8 +548,11 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	return e.pool.Shutdown(ctx)
 }
 
-// Index returns the current epoch's snapshot-backed index, or nil
-// when the engine was built without WithSnapshot.
+// Index returns the current epoch's StoredList index: the snapshot
+// index with WithSnapshot, or the one built over the ε-core on a
+// sharded epoch. It is nil when default queries run live: the engine
+// has neither, the sharded core is too large to index without
+// WithSnapshot, or the epoch's index build failed.
 func (e *Engine) Index() *Index { return e.epoch.Load().idx }
 
 // Dataset returns the current serving epoch's read-only dataset view.
@@ -562,11 +582,12 @@ func DeleteMutation(i int) Mutation { return Mutation{index: i} }
 // WithRebuildThreshold mutations have accumulated, folds them into a
 // fresh serving epoch: warm candidate caches arrive pre-seeded by the
 // per-mutation incremental fold (DESIGN.md §16; cold caches stay cold
-// and compute lazily), the index (WithSnapshot) is rebuilt eagerly, and
-// the epoch pointer is swapped atomically — queries already running
-// finish on the old epoch, new queries see the fold. After the swap
-// the engine persists best-effort: the rebuilt index is written back
-// to the snapshot path and a WAL-backed dataset is compacted.
+// and compute lazily), the index (WithSnapshot, or a small sharded
+// core) is rebuilt eagerly, and the epoch pointer is swapped atomically —
+// queries already running finish on the old epoch, new queries see the
+// fold. After the swap the engine persists best-effort: with
+// WithSnapshot the rebuilt index is written back to the snapshot path,
+// and a WAL-backed dataset is compacted.
 //
 // Mutations are applied in order and each is durable (WAL-appended
 // and fsynced per the dataset's WithSyncEvery) before the next is
@@ -622,7 +643,7 @@ func (e *Engine) foldLocked(ctx context.Context) error {
 	old := e.epoch.Load()
 	ep := &engineEpoch{num: old.num + 1, ds: e.base.Snapshot()}
 	e.shardEpoch(ctx, ep)
-	if e.opts.snapshotPath != "" {
+	if e.opts.snapshotPath != "" && ep.idx == nil {
 		var (
 			idx *Index
 			err error
@@ -648,7 +669,7 @@ func (e *Engine) foldLocked(ctx context.Context) error {
 	// time. Both failures are reported but change nothing in memory —
 	// the WAL already holds every mutation durably.
 	var errs []error
-	if ep.idx != nil {
+	if ep.idx != nil && e.opts.snapshotPath != "" {
 		if err := ep.idx.SaveFile(e.opts.snapshotPath, ep.ds); err != nil {
 			errs = append(errs, fmt.Errorf("kregret: persisting epoch %d index: %w", ep.num, err))
 		}

@@ -592,8 +592,13 @@ type Answer struct {
 	// Indices of the selected tuples in the original dataset, in
 	// selection order.
 	Indices []int
-	// MRR is the maximum regret ratio of the selection over the
-	// whole dataset and all linear utility functions.
+	// MRR is the maximum regret ratio of the selection, over all
+	// linear utility functions, against the candidate set the solver
+	// saw. On the exact paths every candidate set keeps the whole
+	// convex hull, so this is the regret over the whole dataset. Under
+	// WithCoreset, and for happy-candidate queries on an engine
+	// WithShardedServing, the solver saw the ε-core instead: the true
+	// regret over the whole dataset is then at most MRR + eps.
 	MRR float64
 	// Algorithm and Candidates record how the answer was produced.
 	// After a degraded query, Algorithm is the solver that actually

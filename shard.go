@@ -49,13 +49,23 @@ import (
 // depends on eps and the hull geometry instead of n — the path to
 // datasets far beyond a single preprocessing pass.
 //
+// Every epoch (startup and each fold) whose core has at most
+// maxEagerCoreIndex points also builds the StoredList over it in
+// memory, so default queries — GeoGreedy over happy candidates — are
+// O(k) reads of it, with or without WithSnapshot, and answer exactly
+// what GeoGreedy over the core would. A larger core (eps = 0 keeps all
+// of happy(D), which grows with n) is served live unless WithSnapshot
+// loads or builds its index. Queries with another algorithm or
+// candidate set run live. If the index build fails, the epoch serves
+// default queries live over the core and Engine.Index reports nil.
+//
 // Answers are approximate within eps: a selection's true regret over
 // the full dataset exceeds the reported value by at most eps (the
 // per-shard kernel bound composes over the union). eps = 0 keeps
 // answers exact — the merged core then contains every happy point —
 // and shards = 1 with eps = 0 is byte-identical to the unsharded
 // engine. Only default-candidate (happy) queries use the core;
-// CandidatesSkyline and CandidatesAll run on the full dataset.
+// CandidatesSkyline and CandidatesAll run live on the full dataset.
 //
 // shards is clamped to the dataset size (S > n degenerates to
 // one-point shards). If a shard build fails — numerically or via
@@ -85,11 +95,24 @@ func (o *engineOptions) validateSharding() error {
 	return nil
 }
 
+// maxEagerCoreIndex is the largest core every sharded epoch indexes
+// eagerly. The build is one GeoGreedy run over the core up to
+// k = |core|, so under this bound it never costs more than one live
+// default query at k = maxEagerCoreIndex would. That cost grows
+// steeply with d, and at eps = 0 the core is all of happy(D), which
+// grows with n. On anti-correlated data (2-vCPU Xeon, one worker) a
+// ~100-point core took 0.14 s at d = 6 and 1.4 s at d = 7, and the
+// 13,932-point eps = 0 core of n = 50k, d = 6 took 51 s.
+const maxEagerCoreIndex = 128
+
 // shardEpoch attaches the sharded serving view to a freshly built
 // epoch: the merged per-shard core as a Dataset plus the core→global
-// index map. On a build failure the epoch is left unsharded (queries
-// fall back to the full dataset) and the fallback is counted — a
-// broken core must degrade capacity, not correctness.
+// index map, and, for a core of at most maxEagerCoreIndex points, the
+// StoredList over it. On a view build failure the epoch is left
+// unsharded (queries fall back to the full dataset) and the fallback
+// is counted — a broken core must degrade capacity, not correctness.
+// On an index build failure the epoch keeps its view with a nil idx
+// and serves live over the core.
 func (e *Engine) shardEpoch(ctx context.Context, ep *engineEpoch) {
 	if !e.opts.sharded {
 		return
@@ -102,6 +125,12 @@ func (e *Engine) shardEpoch(ctx context.Context, ep *engineEpoch) {
 	}
 	ep.serveDS, ep.coreMap, ep.shards = serveDS, coreMap, shards
 	ep.coresetBuild = time.Since(start)
+	if len(coreMap) > maxEagerCoreIndex {
+		return
+	}
+	if idx, err := buildShardedIndex(ctx, serveDS, coreMap); err == nil {
+		ep.idx = idx
+	}
 }
 
 // buildShardView partitions the epoch's points into contiguous shards,
@@ -208,25 +237,30 @@ func buildShardedIndex(ctx context.Context, serveDS *Dataset, coreMap []int) (*I
 }
 
 // loadOrRebuildShardedIndex is loadOrRebuildIndex for a sharded
-// engine: a loadable snapshot is adopted only when its persisted core
-// equals the epoch's freshly built core (same points, same shard/eps
-// configuration); anything else — missing, corrupt, mismatched, or an
-// unsharded/stale core — is replaced by a fresh sharded build written
-// back atomically.
-func loadOrRebuildShardedIndex(ctx context.Context, fullDS, serveDS *Dataset, coreMap []int, path string) (*Index, bool, error) {
-	idx, err := LoadFile(path, fullDS)
-	if err == nil && slices.Equal(idx.core, coreMap) {
+// epoch: a loadable snapshot is adopted only when its persisted core
+// equals the epoch's core (same points, same shard/eps configuration);
+// anything else — missing, corrupt, mismatched, or an unsharded/stale
+// core — is replaced by the epoch's index, written back atomically.
+// An epoch without one (its core is above maxEagerCoreIndex, or the
+// eager build failed) builds it here. Past that bound the load is what
+// keeps a restart from paying the build again.
+func loadOrRebuildShardedIndex(ctx context.Context, ep *engineEpoch, path string) (*Index, bool, error) {
+	idx, err := LoadFile(path, ep.ds)
+	if err == nil && slices.Equal(idx.core, ep.coreMap) {
 		return idx, false, nil
 	}
 	if err != nil && !loadFailureRebuildable(err) {
 		return nil, false, fmt.Errorf("kregret: engine snapshot: %w", err)
 	}
-	idx, berr := buildShardedIndex(ctx, serveDS, coreMap)
-	if berr != nil {
-		return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%v) and sharded rebuild failed: %w", err, berr)
+	built := ep.idx
+	if built == nil {
+		var berr error
+		if built, berr = buildShardedIndex(ctx, ep.serveDS, ep.coreMap); berr != nil {
+			return nil, false, fmt.Errorf("kregret: engine snapshot unusable (%v) and sharded rebuild failed: %w", err, berr)
+		}
 	}
-	if serr := idx.SaveFile(path, fullDS); serr != nil {
+	if serr := built.SaveFile(path, ep.ds); serr != nil {
 		return nil, false, fmt.Errorf("kregret: rewriting engine snapshot: %w", serr)
 	}
-	return idx, true, nil
+	return built, true, nil
 }

@@ -10,6 +10,8 @@ package kregret
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fault"
@@ -113,5 +115,95 @@ func TestCoresetBuildFaultOnDataset(t *testing.T) {
 	}
 	if _, err := ds.Query(4); err != nil {
 		t.Fatalf("fresh epoch did not recover: %v", err)
+	}
+}
+
+// TestShardIndexBuildFaultServesLive: a numerical failure in the
+// epoch's StoredList build over the core leaves the epoch sharded but
+// unindexed — startup succeeds, default queries are answered live over
+// the core, undegraded — and the next fold restores the index.
+func TestShardIndexBuildFaultServesLive(t *testing.T) {
+	fault.Reset()
+	t.Cleanup(fault.Reset)
+	pts := testPoints(300, 3, 123)
+	ds, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ε-kernel build runs the GeoGreedy dual too: count its hull
+	// insertions on a clean view build, then let exactly those through
+	// so the one shot fires inside the StoredList build after them.
+	fault.Observe(fault.SiteDDAddHalfspace)
+	if _, _, _, err := buildShardView(context.Background(), ds, 3, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	kernelInserts := fault.Fired(fault.SiteDDAddHalfspace)
+	fault.Reset()
+	fault.ArmAfter(fault.SiteDDAddHalfspace, kernelInserts, 1)
+	eng, err := NewEngine(ds, WithShardedServing(3, 0.1))
+	if err != nil {
+		t.Fatalf("index build fault must not fail startup: %v", err)
+	}
+	defer shutdownEngine(t, eng)
+	if n := fault.Fired(fault.SiteDDAddHalfspace); n != 1 {
+		t.Fatalf("dd fault fired %d times during startup, want 1", n)
+	}
+	if eng.Index() != nil {
+		t.Fatal("failed index build left an index on the epoch")
+	}
+	s := eng.Stats()
+	if s.Shards != 3 || s.CoreSize <= 0 || s.ShardFallbacks != 0 {
+		t.Fatalf("index build fault changed the shard view: %+v", s)
+	}
+	ep := eng.epoch.Load()
+	for _, k := range []int{2, 5} {
+		want, err := ep.serveDS.Query(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Query(context.Background(), k)
+		if err != nil {
+			t.Fatalf("unindexed epoch cannot answer: %v", err)
+		}
+		if got.Degraded || math.Float64bits(got.MRR) != math.Float64bits(want.MRR) {
+			t.Fatalf("k=%d: live answer %v (mrr %v, degraded %v), core GeoGreedy mrr %v",
+				k, got.Indices, got.MRR, got.Degraded, want.MRR)
+		}
+	}
+	if d := eng.Stats().Degraded; d != 0 {
+		t.Fatalf("Degraded = %d after healthy live queries", d)
+	}
+
+	// Site spent: the next fold builds the index again.
+	if err := eng.Apply(context.Background(), InsertMutation(Point{1.5, 1.5, 1.5})); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Index() == nil {
+		t.Fatal("post-fold epoch did not rebuild the core index")
+	}
+
+	// With WithSnapshot the same failure on the unmutated points is
+	// met by the snapshot path: nothing to adopt, so startup builds the
+	// index itself (the one shot is spent) and writes it.
+	fresh, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Reset()
+	fault.ArmAfter(fault.SiteDDAddHalfspace, kernelInserts, 1)
+	path := filepath.Join(t.TempDir(), "idx.snap")
+	snap, err := NewEngine(fresh, WithShardedServing(3, 0.1), WithSnapshot(path))
+	if err != nil {
+		t.Fatalf("index build fault failed a snapshot engine's startup: %v", err)
+	}
+	defer shutdownEngine(t, snap)
+	if n := fault.Fired(fault.SiteDDAddHalfspace); n != 1 {
+		t.Fatalf("dd fault fired %d times during snapshot startup, want 1", n)
+	}
+	if snap.Index() == nil || !snap.Stats().SnapshotRebuilt {
+		t.Fatalf("snapshot startup after a failed eager build: index %v, rebuilt %v", snap.Index() != nil, snap.Stats().SnapshotRebuilt)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("snapshot not written: %v", err)
 	}
 }

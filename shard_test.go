@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -347,19 +349,25 @@ func TestSnapshotRejectsBadCore(t *testing.T) {
 }
 
 // TestShardedFoldReshards: Engine.Apply folds a new epoch that must be
-// re-sharded — the gauges stay populated and answers keep the eps
-// bound against the mutated dataset.
+// re-sharded — the gauges stay populated, the core index is rebuilt in
+// memory without touching the disk, and answers keep the eps bound
+// against the mutated dataset.
 func TestShardedFoldReshards(t *testing.T) {
 	const eps = 0.1
 	ds, err := NewDataset(testPoints(300, 3, 112))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Chdir(t.TempDir())
 	eng, err := NewEngine(ds, WithShardedServing(3, eps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdownEngine(t, eng)
+	before := eng.Index()
+	if before == nil {
+		t.Fatal("sharded startup epoch has no index")
+	}
 	if err := eng.Apply(context.Background(), InsertMutation(Point{1.5, 1.5, 1.5})); err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +377,16 @@ func TestShardedFoldReshards(t *testing.T) {
 	}
 	if s.Shards != 3 || s.CoreSize <= 0 {
 		t.Fatalf("successor epoch lost sharding: %+v", s)
+	}
+	after := eng.Index()
+	if after == nil || after == before {
+		t.Fatalf("fold did not rebuild the core index: before %p, after %p", before, after)
+	}
+	if !slices.Equal(after.core, eng.epoch.Load().coreMap) {
+		t.Fatal("rebuilt index is not over the successor epoch's core")
+	}
+	if files, err := os.ReadDir("."); err != nil || len(files) != 0 {
+		t.Fatalf("fold without WithSnapshot wrote to the working directory: %v (%v)", files, err)
 	}
 	ans, err := eng.Query(context.Background(), 4)
 	if err != nil {
@@ -422,5 +440,155 @@ func TestShardedPerQueryCandidateOverride(t *testing.T) {
 				t.Fatalf("%v on sharded engine: indices %v != dataset %v", c, got.Indices, want.Indices)
 			}
 		}
+	}
+}
+
+// TestShardedIndexMatchesLiveCore is the differential for the in-memory
+// core index: without WithSnapshot, every sharded epoch serves default
+// queries from a StoredList that answers every k — below d, up to and
+// beyond the core size — with the same indices and bit-equal MRR as
+// live GeoGreedy over the epoch's serving view, remapped to global
+// indices. Non-default queries still run live.
+func TestShardedIndexMatchesLiveCore(t *testing.T) {
+	ctx := context.Background()
+	ds, err := NewDataset(testPoints(400, 4, 114))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3} {
+		for _, eps := range []float64{0, 0.1} {
+			eng, err := NewEngine(ds, WithShardedServing(shards, eps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Index() == nil {
+				t.Fatalf("S=%d eps=%v: sharded epoch built no index", shards, eps)
+			}
+			ep := eng.epoch.Load()
+			live := func(k int, opts ...Option) *Answer {
+				t.Helper()
+				ans, err := ep.serveDS.Query(k, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, ci := range ans.Indices {
+					ans.Indices[i] = ep.coreMap[ci]
+				}
+				return ans
+			}
+			same := func(what string, k int, got, want *Answer) {
+				t.Helper()
+				if !slices.Equal(got.Indices, want.Indices) ||
+					math.Float64bits(got.MRR) != math.Float64bits(want.MRR) ||
+					got.Algorithm != want.Algorithm || got.Candidates != want.Candidates || got.Degraded {
+					t.Fatalf("S=%d eps=%v k=%d %s: engine %v (mrr %v, %v/%v) != live %v (mrr %v, %v/%v)",
+						shards, eps, k, what, got.Indices, got.MRR, got.Algorithm, got.Candidates,
+						want.Indices, want.MRR, want.Algorithm, want.Candidates)
+				}
+			}
+			for k := 1; k <= eng.Stats().CoreSize+2; k++ {
+				got, err := eng.Query(ctx, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("default", k, got, live(k))
+			}
+			// The index answers as GeoGreedy over happy points, so a
+			// live answer is told apart by its Algorithm or Candidates.
+			for _, k := range []int{2, 6} {
+				got, err := eng.Query(ctx, k, WithAlgorithm(AlgoGreedy))
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("Greedy", k, got, live(k, WithAlgorithm(AlgoGreedy)))
+				got, err = eng.Query(ctx, k, WithCandidates(CandidatesSkyline))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ds.Query(k, WithCandidates(CandidatesSkyline))
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("skyline", k, got, want)
+			}
+			shutdownEngine(t, eng)
+		}
+	}
+}
+
+// TestShardedLargeCoreServesLive: a core above maxEagerCoreIndex (the
+// exact plan keeps every happy point) is not indexed eagerly, at
+// startup or at a fold, and default queries run live over it. With
+// WithSnapshot the engine builds that index once and writes it, and a
+// restart adopts the file instead of building again.
+func TestShardedLargeCoreServesLive(t *testing.T) {
+	ctx := context.Background()
+	pts := testPoints(300, 5, 115)
+	ds, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(t.TempDir())
+	eng, err := NewEngine(ds, WithShardedServing(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownEngine(t, eng)
+	if n := eng.Stats().CoreSize; n <= maxEagerCoreIndex {
+		t.Fatalf("core has %d points, the test needs more than %d", n, maxEagerCoreIndex)
+	}
+	if eng.Index() != nil {
+		t.Fatal("core above the eager bound was indexed without WithSnapshot")
+	}
+	ep := eng.epoch.Load()
+	want, err := ep.serveDS.Query(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Query(ctx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ci := range want.Indices {
+		if got.Indices[i] != ep.coreMap[ci] {
+			t.Fatalf("live answer %v, GeoGreedy over the core %v", got.Indices, want.Indices)
+		}
+	}
+	if math.Float64bits(got.MRR) != math.Float64bits(want.MRR) {
+		t.Fatalf("live mrr %v, GeoGreedy over the core %v", got.MRR, want.MRR)
+	}
+	if err := eng.Apply(ctx, InsertMutation(Point{0.1, 0.1, 0.1, 0.1, 0.1})); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Index() != nil {
+		t.Fatal("fold indexed a core above the eager bound without WithSnapshot")
+	}
+	if files, err := os.ReadDir("."); err != nil || len(files) != 0 {
+		t.Fatalf("engine without WithSnapshot wrote to the working directory: %v (%v)", files, err)
+	}
+
+	// The snapshot engines serve the unmutated points again.
+	fresh, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "idx.snap")
+	for i, wantRebuilt := range []bool{true, false} {
+		snap, err := NewEngine(fresh, WithShardedServing(2, 0), WithSnapshot(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Index() == nil || snap.Stats().SnapshotRebuilt != wantRebuilt {
+			t.Fatalf("start %d: index %v, SnapshotRebuilt %v, want %v",
+				i, snap.Index() != nil, snap.Stats().SnapshotRebuilt, wantRebuilt)
+		}
+		ans, err := snap.Query(ctx, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ans.Indices, got.Indices) || math.Float64bits(ans.MRR) != math.Float64bits(got.MRR) {
+			t.Fatalf("start %d: index answer %v (mrr %v), live %v (mrr %v)", i, ans.Indices, ans.MRR, got.Indices, got.MRR)
+		}
+		shutdownEngine(t, snap)
 	}
 }
